@@ -8,75 +8,41 @@
 #   2. ADMIN report mid-train shows the train (entries/active/queued)
 #      and the metrics scrape carries the bullfrog_migrations_active /
 #      bullfrog_migrations_queued gauges,
-#   3. a replica started mid-train bootstraps: with BF_SNAPSHOT_READS=1
-#      the quiesce-free checkpoint embeds the in-flight train and the
-#      replica restores it converging; otherwise the primary defers the
-#      capture (kBusy) and the replica's bounded-backoff retry loop rides
-#      it out, publishing phase="bootstrapping ..." in ADMIN replication
-#      instead of failing hard,
+#   3. an explicit mid-train ADMIN checkpoint succeeds, and a replica
+#      started mid-train bootstraps from a checkpoint that embeds the
+#      in-flight train and restores it,
 #   4. the whole chain converges: t3 holds every row on primary and
 #      replica, the dumps match byte for byte,
-#   5. with BF_SNAPSHOT_READS=1, an explicit mid-train ADMIN checkpoint
-#      succeeds and a kill -9 + restart recovers from it, resumes the
-#      train from the WAL, and still converges,
+#   5. a mid-train checkpoint followed by kill -9 + restart recovers
+#      from it, resumes the train from the WAL, and still converges,
 #   6. every daemon exits 0 on SIGTERM (the sanitizer legs turn leaks
 #      and races into non-zero exits).
+# The checkpoint capture reads at its own pinned snapshot, so every leg
+# runs in both read modes (BF_SNAPSHOT_READS unset or 1).
 # Run from the repo root with the build directory as $1 (default: build).
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
-SERVERD="$BUILD_DIR/src/server/bullfrog_serverd"
-SHELL_BIN="$BUILD_DIR/examples/bullfrog_shell"
-PLOG="$(mktemp /tmp/bullfrog_train_primary.XXXXXX.log)"
-RLOG="$(mktemp /tmp/bullfrog_train_replica.XXXXXX.log)"
+source "$(dirname "$0")/smoke_lib.sh"
 DATA_DIR="$(mktemp -d /tmp/bullfrog_train_data.XXXXXX)"
-SNAPSHOT="${BF_SNAPSHOT_READS:-0}"
 
-[[ -x $SERVERD ]] || { echo "missing $SERVERD (build first)"; exit 1; }
-[[ -x $SHELL_BIN ]] || { echo "missing $SHELL_BIN (build first)"; exit 1; }
-
-PRIMARY_PID=""
-REPLICA_PID=""
-TRAFFIC_PID=""
-cleanup() {
-  [[ -n $TRAFFIC_PID ]] && kill -9 "$TRAFFIC_PID" 2>/dev/null || true
-  [[ -n $REPLICA_PID ]] && kill -9 "$REPLICA_PID" 2>/dev/null || true
-  [[ -n $PRIMARY_PID ]] && kill -9 "$PRIMARY_PID" 2>/dev/null || true
-  echo "--- primary log ---"; cat "$PLOG"
-  echo "--- replica log ---"; cat "$RLOG"
-}
-trap cleanup EXIT
-
-wait_addr() { # logfile pid
-  local addr=""
-  for _ in $(seq 1 150); do
-    addr=$(sed -n 's/^bullfrog_serverd listening on \(.*\)$/\1/p' "$1")
-    [[ -n $addr ]] && { echo "$addr"; return 0; }
-    kill -0 "$2" 2>/dev/null || { echo "serverd died on startup" >&2; return 1; }
-    sleep 0.1
-  done
-  echo "serverd never reported its port" >&2
-  return 1
-}
-
-shell_run() { # addr
-  "$SHELL_BIN" --connect "$1" 2>&1 |
-    sed -e '1d' -e 's/^bullfrog> //' -e 's/^migrate> //'
-}
-
-"$SERVERD" --port=0 --workers=8 --data-dir="$DATA_DIR" >"$PLOG" 2>&1 &
-PRIMARY_PID=$!
-PADDR=$(wait_addr "$PLOG" "$PRIMARY_PID")
+start_daemon "$(mktemp /tmp/bullfrog_train_primary.XXXXXX.log)" --port=0 \
+  --workers=8 --data-dir="$DATA_DIR"
+PRIMARY_PID=$DAEMON_PID
+PADDR=$DAEMON_ADDR
 echo "primary up at $PADDR (pid $PRIMARY_PID, data $DATA_DIR)"
 
 ROWS=64
-{
-  echo "CREATE TABLE t0 (id INT PRIMARY KEY, v INT);"
-  echo "CREATE TABLE traffic (id INT PRIMARY KEY, note TEXT);"
-  for i in $(seq 0 $((ROWS - 1))); do
-    echo "INSERT INTO t0 VALUES ($i, $((i * 10)));"
-  done
-} | shell_run "$PADDR" >/dev/null
+load_t0() { # ADDR
+  {
+    echo "CREATE TABLE t0 (id INT PRIMARY KEY, v INT);"
+    for i in $(seq 0 $((ROWS - 1))); do
+      echo "INSERT INTO t0 VALUES ($i, $((i * 10)));"
+    done
+  } | shell_run "$1" >/dev/null
+}
+load_t0 "$PADDR"
+run_sql "$PADDR" "CREATE TABLE traffic (id INT PRIMARY KEY, note TEXT);" >/dev/null
 
 # Live traffic for the whole run: writes to a side table plus reads that
 # chase the head of the chain (lazy read-through on whichever hop is in
@@ -86,201 +52,115 @@ ROWS=64
   i=0
   while true; do
     i=$((i + 1))
-    OUT=$(echo "INSERT INTO traffic VALUES ($i, 'tick');" | shell_run "$PADDR") ||
+    OUT=$(run_sql "$PADDR" "INSERT INTO traffic VALUES ($i, 'tick');") ||
       exit 0  # Primary gone (shutdown/kill legs) — stop quietly.
     grep -q "error" <<<"$OUT" && { echo "traffic write failed: $OUT" >&2; exit 1; }
     for t in t1 t2 t3; do
-      echo "SELECT v FROM $t WHERE id = $((i % ROWS));" | shell_run "$PADDR" >/dev/null || exit 0
+      run_sql "$PADDR" "SELECT v FROM $t WHERE id = $((i % ROWS));" >/dev/null || exit 0
     done
     sleep 0.05
   done
 ) &
 TRAFFIC_PID=$!
+track_pid "$TRAFFIC_PID"
 
 # The train: hop 1 switches now, hops 2 and 3 must queue (their input
 # tables do not even exist yet — compilation is deferred to auto-start).
-submit_hop() { # src dst
-  shell_run "$PADDR" <<EOF
+submit_hop() { # addr src dst
+  shell_run "$1" <<SQL
 .migrate
-CREATE TABLE $2 PRIMARY KEY (id) AS SELECT id, v FROM $1;
-DROP TABLE $1;
+CREATE TABLE $3 PRIMARY KEY (id) AS SELECT id, v FROM $2;
+DROP TABLE $2;
 .go
-EOF
+SQL
 }
-H1=$(submit_hop t0 t1)
+H1=$(submit_hop "$PADDR" t0 t1)
 grep -q "migration live" <<<"$H1" || { echo "hop 1 did not switch: $H1"; exit 1; }
-H2=$(submit_hop t1 t2)
+H2=$(submit_hop "$PADDR" t1 t2)
 grep -q "migration queued" <<<"$H2" || { echo "hop 2 did not queue: $H2"; exit 1; }
 grep -q "position 1" <<<"$H2" || { echo "hop 2 missing queue position: $H2"; exit 1; }
-H3=$(submit_hop t2 t3)
+H3=$(submit_hop "$PADDR" t2 t3)
 grep -q "migration queued" <<<"$H3" || { echo "hop 3 did not queue: $H3"; exit 1; }
 echo "train submitted: 1 live + 2 queued"
 
 # Mid-train observability: the ADMIN report lists the train, the metrics
 # scrape exposes the occupancy gauges.
-REPORT=$(echo ".report" | shell_run "$PADDR")
+REPORT=$(run_sql "$PADDR" ".report")
 grep -q "migration train" <<<"$REPORT" ||
   { echo "admin report missing train section: $REPORT"; exit 1; }
 grep -Eq "queued=[12]" <<<"$REPORT" ||
   { echo "admin report missing queued entries: $REPORT"; exit 1; }
-METRICS=$(echo ".metrics" | shell_run "$PADDR")
+METRICS=$(run_sql "$PADDR" ".metrics")
 grep -qE '^bullfrog_migrations_active [0-9]' <<<"$METRICS" ||
   { echo "metrics missing bullfrog_migrations_active"; exit 1; }
 grep -qE '^bullfrog_migrations_queued [0-9]' <<<"$METRICS" ||
   { echo "metrics missing bullfrog_migrations_queued"; exit 1; }
 echo "mid-train report + gauges OK"
 
-# Mid-train checkpoint: quiesce-free (snapshot reads) embeds the train;
-# the legacy quiesced path must defer with the busy error instead.
-CKPT=$(echo ".admin checkpoint" | shell_run "$PADDR")
-if [[ $SNAPSHOT == "1" ]]; then
-  grep -q "checkpoint ok" <<<"$CKPT" ||
-    { echo "mid-train quiesce-free checkpoint failed: $CKPT"; exit 1; }
-  echo "mid-train checkpoint OK (train embedded)"
-else
-  grep -qi "busy\|deferred" <<<"$CKPT" ||
-    { echo "quiesced mid-train checkpoint should defer, got: $CKPT"; exit 1; }
-  echo "mid-train checkpoint deferred as expected (quiesced mode)"
-fi
+# Mid-train checkpoint: the capture embeds the in-flight train.
+CKPT=$(run_sql "$PADDR" ".admin checkpoint")
+grep -q "checkpoint ok" <<<"$CKPT" ||
+  { echo "mid-train checkpoint failed: $CKPT"; exit 1; }
+echo "mid-train checkpoint OK (train embedded)"
 
-# Replica bootstrap mid-train. Snapshot mode: the checkpoint ships the
-# in-flight train and the replica converges while it drains. Quiesced
-# mode: the primary answers kBusy and the replica's bounded-backoff loop
-# waits it out — its ADMIN replication line must show the wait.
-BF_SNAPSHOT_READS="$SNAPSHOT" "$SERVERD" --port=0 --workers=4 \
-  --replica-of="$PADDR" >"$RLOG" 2>&1 &
-REPLICA_PID=$!
-RADDR=$(wait_addr "$RLOG" "$REPLICA_PID")
+# Replica bootstrap mid-train: the checkpoint ships the in-flight train
+# and the replica converges while it drains.
+start_daemon "$(mktemp /tmp/bullfrog_train_replica.XXXXXX.log)" --port=0 \
+  --workers=4 --replica-of="$PADDR"
+REPLICA_PID=$DAEMON_PID
+RADDR=$DAEMON_ADDR
 echo "replica up at $RADDR (pid $REPLICA_PID)"
-if [[ $SNAPSHOT != "1" ]]; then
-  PHASE=""
-  for _ in $(seq 1 100); do
-    PHASE=$(echo ".admin replication" | shell_run "$RADDR") || PHASE=""
-    grep -q 'phase="bootstrapping' <<<"$PHASE" && break
-    grep -q "role=replica" <<<"$PHASE" && ! grep -q "phase=" <<<"$PHASE" && break
-    sleep 0.1
-  done
-  # Either we caught the bootstrapping phase in flight, or the train
-  # finished so fast the replica was already streaming — both fine, but
-  # the replica must never have died.
-  kill -0 "$REPLICA_PID" 2>/dev/null ||
-    { echo "replica died during busy-primary bootstrap"; exit 1; }
-  echo "replica bootstrap wait observed: ${PHASE:-streaming}"
-fi
 
 # Convergence: the chain drains hop by hop until t3 holds every row.
-DONE=""
-for _ in $(seq 1 600); do
-  if echo ".progress" | shell_run "$PADDR" | grep -q "(complete)"; then
-    DONE=1; break
-  fi
-  sleep 0.1
-done
-[[ -n $DONE ]] || { echo "train never converged on primary"; exit 1; }
-N=$(echo "SELECT COUNT(*) AS n FROM t3;" | shell_run "$PADDR")
+poll 600 progress_complete "$PADDR" ||
+  { echo "train never converged on primary"; exit 1; }
+N=$(run_sql "$PADDR" "SELECT COUNT(*) AS n FROM t3;")
 grep -q "^$ROWS$" <<<"$N" || { echo "t3 row count wrong: $N"; exit 1; }
 echo "train converged: t3 has $ROWS rows"
 
 # Stop traffic before comparing dumps (the side table keeps growing).
 kill "$TRAFFIC_PID" 2>/dev/null || true
 wait "$TRAFFIC_PID" 2>/dev/null || true
-TRAFFIC_PID=""
+forget_pid "$TRAFFIC_PID"
 
 # Replica catches up and matches byte for byte. behind=0 alone is not
-# enough — right after a (busy-delayed) bootstrap the replica has not
-# tailed yet and trivially reports 0 — so poll the dumps directly.
-echo ".admin dump" | shell_run "$PADDR" >/tmp/bullfrog_train_pdump.txt
-CAUGHT=""
-for _ in $(seq 1 600); do
-  echo ".admin dump" | shell_run "$RADDR" >/tmp/bullfrog_train_rdump.txt
-  if cmp -s /tmp/bullfrog_train_pdump.txt /tmp/bullfrog_train_rdump.txt; then
-    CAUGHT=1; break
-  fi
-  sleep 0.1
-done
-if [[ -z $CAUGHT ]]; then
-  diff -u /tmp/bullfrog_train_pdump.txt /tmp/bullfrog_train_rdump.txt || true
+# enough — right after the bootstrap the replica may not have tailed yet
+# and trivially reports 0 — so poll the dumps directly.
+poll 600 dumps_match "$PADDR" "$RADDR" >/dev/null || {
+  dumps_match "$PADDR" "$RADDR" || true
   echo "primary/replica dumps diverged"
   exit 1
-fi
-grep -q "t3" /tmp/bullfrog_train_pdump.txt ||
+}
+grep -q "t3" "$DUMP_A" ||
   { echo "dump missing migrated table t3"; exit 1; }
 echo "replica converged with the train"
 
-kill -TERM "$REPLICA_PID"
-STATUS=0; wait "$REPLICA_PID" || STATUS=$?
-REPLICA_PID=""
-[[ $STATUS -eq 0 ]] || { echo "replica exited non-zero ($STATUS)"; exit "$STATUS"; }
-kill -TERM "$PRIMARY_PID"
-STATUS=0; wait "$PRIMARY_PID" || STATUS=$?
-PRIMARY_PID=""
-[[ $STATUS -eq 0 ]] || { echo "primary exited non-zero ($STATUS)"; exit "$STATUS"; }
-trap - EXIT
+stop_daemon "$REPLICA_PID" replica
+stop_daemon "$PRIMARY_PID" primary
 echo "clean shutdowns OK"
 
-# ---- Snapshot-only leg: mid-train checkpoint + kill -9 recovery ----
-if [[ $SNAPSHOT == "1" ]]; then
-  PLOG2="$(mktemp /tmp/bullfrog_train_crash.XXXXXX.log)"
-  DATA2="$(mktemp -d /tmp/bullfrog_train_data2.XXXXXX)"
-  CRASH_PID=""
-  cleanup2() {
-    [[ -n $CRASH_PID ]] && kill -9 "$CRASH_PID" 2>/dev/null || true
-    echo "--- crash-leg log ---"; cat "$PLOG2"
-  }
-  trap cleanup2 EXIT
+# ---- Mid-train checkpoint + kill -9 recovery leg ----
+DATA2="$(mktemp -d /tmp/bullfrog_train_data2.XXXXXX)"
+PLOG2="$(mktemp /tmp/bullfrog_train_crash.XXXXXX.log)"
+start_daemon "$PLOG2" --port=0 --workers=8 --data-dir="$DATA2"
+load_t0 "$DAEMON_ADDR"
+submit_hop "$DAEMON_ADDR" t0 t1 | grep -q "migration live" || { echo "crash leg hop 1 failed"; exit 1; }
+submit_hop "$DAEMON_ADDR" t1 t2 | grep -q "migration queued" || { echo "crash leg hop 2 failed"; exit 1; }
+submit_hop "$DAEMON_ADDR" t2 t3 | grep -q "migration queued" || { echo "crash leg hop 3 failed"; exit 1; }
+CKPT=$(run_sql "$DAEMON_ADDR" ".admin checkpoint")
+grep -q "checkpoint ok" <<<"$CKPT" ||
+  { echo "crash-leg mid-train checkpoint failed: $CKPT"; exit 1; }
+kill -9 "$DAEMON_PID"
+wait "$DAEMON_PID" 2>/dev/null || true
+forget_pid "$DAEMON_PID"
+echo "killed primary mid-train after checkpoint; restarting"
 
-  "$SERVERD" --port=0 --workers=8 --data-dir="$DATA2" >"$PLOG2" 2>&1 &
-  CRASH_PID=$!
-  CADDR=$(wait_addr "$PLOG2" "$CRASH_PID")
-  {
-    echo "CREATE TABLE t0 (id INT PRIMARY KEY, v INT);"
-    for i in $(seq 0 $((ROWS - 1))); do
-      echo "INSERT INTO t0 VALUES ($i, $((i * 10)));"
-    done
-  } | "$SHELL_BIN" --connect "$CADDR" >/dev/null 2>&1
-  submit_crash_hop() { # src dst
-    "$SHELL_BIN" --connect "$CADDR" 2>&1 <<EOF
-.migrate
-CREATE TABLE $2 PRIMARY KEY (id) AS SELECT id, v FROM $1;
-DROP TABLE $1;
-.go
-EOF
-  }
-  submit_crash_hop t0 t1 | grep -q "migration live" || { echo "crash leg hop 1 failed"; exit 1; }
-  submit_crash_hop t1 t2 | grep -q "migration queued" || { echo "crash leg hop 2 failed"; exit 1; }
-  submit_crash_hop t2 t3 | grep -q "migration queued" || { echo "crash leg hop 3 failed"; exit 1; }
-  CKPT=$(echo ".admin checkpoint" | "$SHELL_BIN" --connect "$CADDR" 2>&1)
-  grep -q "checkpoint ok" <<<"$CKPT" ||
-    { echo "crash-leg mid-train checkpoint failed: $CKPT"; exit 1; }
-  kill -9 "$CRASH_PID"
-  wait "$CRASH_PID" 2>/dev/null || true
-  CRASH_PID=""
-  echo "killed primary mid-train after checkpoint; restarting"
-
-  "$SERVERD" --port=0 --workers=8 --data-dir="$DATA2" >"$PLOG2" 2>&1 &
-  CRASH_PID=$!
-  CADDR=$(wait_addr "$PLOG2" "$CRASH_PID")
-  DONE=""
-  for _ in $(seq 1 600); do
-    if echo ".progress" | "$SHELL_BIN" --connect "$CADDR" 2>/dev/null |
-        grep -q "(complete)"; then
-      DONE=1; break
-    fi
-    sleep 0.1
-  done
-  [[ -n $DONE ]] || { echo "recovered train never converged"; exit 1; }
-  N=$(echo "SELECT COUNT(*) AS n FROM t3;" | "$SHELL_BIN" --connect "$CADDR" 2>&1 |
-      sed -e '1d' -e 's/^bullfrog> //')
-  grep -q "^$ROWS$" <<<"$N" || { echo "recovered t3 count wrong: $N"; exit 1; }
-  echo "checkpoint restore resumed the train and converged"
-
-  kill -TERM "$CRASH_PID"
-  STATUS=0; wait "$CRASH_PID" || STATUS=$?
-  CRASH_PID=""
-  [[ $STATUS -eq 0 ]] || { echo "crash-leg daemon exited non-zero"; exit "$STATUS"; }
-  trap - EXIT
-  rm -rf "$DATA2"
-fi
-
-rm -rf "$DATA_DIR"
+start_daemon "$PLOG2" --port=0 --workers=8 --data-dir="$DATA2"
+poll 600 progress_complete "$DAEMON_ADDR" ||
+  { echo "recovered train never converged"; exit 1; }
+N=$(run_sql "$DAEMON_ADDR" "SELECT COUNT(*) AS n FROM t3;")
+grep -q "^$ROWS$" <<<"$N" || { echo "recovered t3 count wrong: $N"; exit 1; }
+echo "checkpoint restore resumed the train and converged"
+stop_daemon "$DAEMON_PID" "crash-leg daemon"
+rm -rf "$DATA2" "$DATA_DIR"
 echo "migration train smoke OK"

@@ -12,52 +12,24 @@
 set -euo pipefail
 
 BUILD_DIR="${1:-build}"
-SERVERD="$BUILD_DIR/src/server/bullfrog_serverd"
-SHELL_BIN="$BUILD_DIR/examples/bullfrog_shell"
+source "$(dirname "$0")/smoke_lib.sh"
 SHARDS=4
 LOG="$(mktemp /tmp/bullfrog_shardd.XXXXXX.log)"
-
-[[ -x $SERVERD ]] || { echo "missing $SERVERD (build first)"; exit 1; }
-[[ -x $SHELL_BIN ]] || { echo "missing $SHELL_BIN (build first)"; exit 1; }
-
-run_sql() {  # run_sql ADDR "sql..." — echoes the shell's output sans banner
-  "$SHELL_BIN" --connect "$1" <<<"$2" 2>&1 | sed -e '1d' -e 's/^bullfrog> //'
-}
-
-wait_addr() {  # wait_addr LOGFILE PID -> prints HOST:PORT
-  local addr=""
-  for _ in $(seq 1 100); do
-    addr=$(sed -n 's/^bullfrog_serverd listening on \(.*\)$/\1/p' "$1")
-    [[ -n $addr ]] && { echo "$addr"; return 0; }
-    kill -0 "$2" 2>/dev/null || return 1
-    sleep 0.1
-  done
-  return 1
-}
 
 # Trace every statement server-side (the shell sends unflagged frames)
 # so the mid-migration slowlog/timeseries scrapes below have data.
 BF_TRACE_SAMPLE=1 BF_TIMESERIES_MS=50 \
-  "$SERVERD" --port=0 --workers=8 --shards=$SHARDS >"$LOG" 2>&1 &
-SERVER_PID=$!
-cleanup() {
-  kill -9 "$SERVER_PID" 2>/dev/null || true
-  cat "$LOG"
-}
-trap cleanup EXIT
-
-ADDR=$(wait_addr "$LOG" "$SERVER_PID") ||
-  { echo "sharded serverd never reported its port"; exit 1; }
+  start_daemon "$LOG" --port=0 --workers=8 --shards=$SHARDS
+SERVER_PID=$DAEMON_PID
+ADDR=$DAEMON_ADDR
 grep -q "^shards=$SHARDS$" "$LOG" ||
   { echo "daemon did not report shards=$SHARDS"; exit 1; }
 echo "sharded serverd up at $ADDR ($SHARDS shards, pid $SERVER_PID)"
 
 # Routed DML: the rows must split across shards and come back merged.
 run_sql "$ADDR" "CREATE TABLE kv (id INT PRIMARY KEY, val INT);" >/dev/null
-(
-  echo -n ""
-  for i in $(seq 0 199); do echo "INSERT INTO kv VALUES ($i, $((i * 10)));"; done
-) | "$SHELL_BIN" --connect "$ADDR" >/dev/null 2>&1
+for i in $(seq 0 199); do echo "INSERT INTO kv VALUES ($i, $((i * 10)));"; done |
+  shell_run "$ADDR" >/dev/null
 
 AGG=$(run_sql "$ADDR" "SELECT COUNT(*) AS n, SUM(val) AS s, AVG(val) AS a FROM kv;")
 grep -q "200" <<<"$AGG" || { echo "bad cross-shard COUNT: $AGG"; exit 1; }
@@ -68,7 +40,7 @@ grep -q "420" <<<"$POINT" || { echo "bad routed point read: $POINT"; exit 1; }
 echo "router OK (split insert, point read, merged aggregates)"
 
 # ADMIN "shards" before any migration: idle coordinator, one line per shard.
-SHARDS_IDLE=$("$SHELL_BIN" --connect "$ADDR" <<<".admin shards" 2>&1)
+SHARDS_IDLE=$(run_sql "$ADDR" ".admin shards")
 grep -q "state=idle" <<<"$SHARDS_IDLE" ||
   { echo "ADMIN shards missing idle state: $SHARDS_IDLE"; exit 1; }
 [[ $(grep -c "shard [0-9]:" <<<"$SHARDS_IDLE") -eq $SHARDS ]] ||
@@ -76,10 +48,10 @@ grep -q "state=idle" <<<"$SHARDS_IDLE" ||
 
 # Cross-shard lazy migration via the MIGRATE opcode, scraped mid-drain.
 printf '.migrate\nCREATE TABLE kv2 PRIMARY KEY (id) AS SELECT id, val, val + val AS dbl FROM kv;\nDROP TABLE kv;\n.go\n.quit\n' |
-  "$SHELL_BIN" --connect "$ADDR" 2>&1 | grep -q "migration live" ||
+  shell_run "$ADDR" | grep -q "migration live" ||
   { echo "MIGRATE submit failed"; exit 1; }
 
-MID=$("$SHELL_BIN" --connect "$ADDR" <<<".admin shards" 2>&1)
+MID=$(run_sql "$ADDR" ".admin shards")
 grep -Eq "state=(draining|complete)" <<<"$MID" ||
   { echo "ADMIN shards not draining after MIGRATE: $MID"; exit 1; }
 echo "mid-migration ADMIN shards scrape:"
@@ -100,28 +72,13 @@ done
 # ring must already hold snapshots (top-level sampler: the aggregate
 # migration_progress / units_migrated counters span all shards).
 SLOWLOG=$(run_sql "$ADDR" ".slowlog")
-for want in "total=" "id=0x"; do
-  if ! grep -qF "$want" <<<"$SLOWLOG"; then
-    echo "mid-migration ADMIN slowlog missing '$want':"
-    echo "$SLOWLOG"
-    exit 1
-  fi
-done
-if ! grep -qF "migrate_pull" <<<"$SLOWLOG"; then
-  echo "mid-migration ADMIN slowlog has no migrate_pull attribution:"
-  echo "$SLOWLOG"
-  exit 1
-fi
+require_all "mid-migration ADMIN slowlog" "$SLOWLOG" \
+  "total=" "id=0x" "migrate_pull"
 echo "mid-migration ADMIN slowlog OK ($(grep -c 'id=0x' <<<"$SLOWLOG") entries)"
 
 TIMESERIES=$(run_sql "$ADDR" ".timeseries")
-for want in "# timeseries interval_ms=" "t_ms" "migration_progress"; do
-  if ! grep -qF "$want" <<<"$TIMESERIES"; then
-    echo "mid-migration ADMIN timeseries missing '$want':"
-    echo "$TIMESERIES"
-    exit 1
-  fi
-done
+require_all "mid-migration ADMIN timeseries" "$TIMESERIES" \
+  "# timeseries interval_ms=" "t_ms" "migration_progress"
 TS_ROWS=$(grep -cE '^[0-9]+' <<<"$TIMESERIES" || true)
 if [[ $TS_ROWS -lt 1 ]]; then
   echo "mid-migration ADMIN timeseries has no data rows:"
@@ -131,13 +88,12 @@ fi
 echo "mid-migration ADMIN timeseries OK ($TS_ROWS rows)"
 
 # The coordinator must converge: progress 1.0 and every shard complete.
-DONE=""
-for _ in $(seq 1 200); do
-  REPORT=$("$SHELL_BIN" --connect "$ADDR" <<<".admin shards" 2>&1)
-  if grep -q "state=complete" <<<"$REPORT"; then DONE=1; break; fi
-  sleep 0.1
-done
-[[ -n $DONE ]] || { echo "coordinated migration never converged: $REPORT"; exit 1; }
+coordinator_complete() {
+  REPORT=$(run_sql "$ADDR" ".admin shards")
+  grep -q "state=complete" <<<"$REPORT"
+}
+poll 200 coordinator_complete ||
+  { echo "coordinated migration never converged: $REPORT"; exit 1; }
 [[ $(grep -c "complete=1" <<<"$REPORT") -eq $SHARDS ]] ||
   { echo "not all shards report complete: $REPORT"; exit 1; }
 grep -q "progress=1" <<<"$REPORT" ||
@@ -152,7 +108,7 @@ SUM=$(grep -oE "units=[0-9]+" <<<"$REPORT" | cut -d= -f2 |
 echo "coordinated migration converged (units_total=$TOTAL across $SHARDS shards)"
 
 # Merged ADMIN metrics: the scrape must carry every shard's section.
-METRICS=$("$SHELL_BIN" --connect "$ADDR" <<<".metrics" 2>&1)
+METRICS=$(run_sql "$ADDR" ".metrics")
 for i in $(seq 0 $((SHARDS - 1))); do
   grep -q "# shard $i" <<<"$METRICS" ||
     { echo "ADMIN metrics missing shard $i section"; exit 1; }
@@ -161,54 +117,19 @@ grep -q "bullfrog_server_requests_total" <<<"$METRICS" ||
   { echo "ADMIN metrics missing server families"; exit 1; }
 echo "merged ADMIN metrics OK"
 
-# Graceful shutdown must drain and exit 0 (sanitizers report on exit).
-kill -TERM "$SERVER_PID"
-STATUS=0
-wait "$SERVER_PID" || STATUS=$?
-trap - EXIT
-if [[ $STATUS -ne 0 ]]; then
-  cat "$LOG"
-  echo "sharded serverd exited non-zero ($STATUS)"
-  exit "$STATUS"
-fi
+stop_daemon "$SERVER_PID" "sharded serverd"
 
 # ---- Durable kill -9 leg: per-shard WAL segments (BF_WAL_FSYNC=1) ----
 DATA_DIR=$(mktemp -d /tmp/bullfrog_shard_data.XXXXXX)
 DLOG=$(mktemp /tmp/bullfrog_shard_durable.XXXXXX.log)
-ACKS=$(mktemp /tmp/bullfrog_shard_acks.XXXXXX.txt)
-DURABLE_PID=""
-cleanup_durable() {
-  [[ -n $DURABLE_PID ]] && kill -9 "$DURABLE_PID" 2>/dev/null || true
-  echo "--- durable log ---"; cat "$DLOG"
-}
-trap cleanup_durable EXIT
+BF_WAL_FSYNC=1 start_daemon "$DLOG" --port=0 --workers=8 --shards=$SHARDS \
+  --data-dir="$DATA_DIR"
+echo "durable sharded serverd up at $DAEMON_ADDR (data dir $DATA_DIR)"
+run_sql "$DAEMON_ADDR" "CREATE TABLE crashy (id INT PRIMARY KEY, v INT);" >/dev/null
 
-BF_WAL_FSYNC=1 "$SERVERD" --port=0 --workers=8 --shards=$SHARDS \
-  --data-dir="$DATA_DIR" >"$DLOG" 2>&1 &
-DURABLE_PID=$!
-DADDR=$(wait_addr "$DLOG" "$DURABLE_PID") ||
-  { echo "durable sharded serverd died on startup"; exit 1; }
-echo "durable sharded serverd up at $DADDR (data dir $DATA_DIR)"
-
-run_sql "$DADDR" "CREATE TABLE crashy (id INT PRIMARY KEY, v INT);" >/dev/null
-
-# Sequential single-row INSERTs: every "(1 affected)" is a durably acked
-# commit on some shard's WAL. Pull the plug mid-stream.
-( for i in $(seq 1 2000); do echo "INSERT INTO crashy VALUES ($i, $i);"; done ) |
-  stdbuf -oL "$SHELL_BIN" --connect "$DADDR" >"$ACKS" 2>&1 &
-LOADER_PID=$!
-for _ in $(seq 1 600); do
-  A=$(grep -c "(1 affected)" "$ACKS" || true)
-  [[ $A -ge 200 ]] && break
-  kill -0 "$LOADER_PID" 2>/dev/null || break
-  sleep 0.05
-done
-kill -9 "$DURABLE_PID"
-DURABLE_PID=""
-wait "$LOADER_PID" 2>/dev/null || true
-ACKED=$(grep -c "(1 affected)" "$ACKS" || true)
-echo "acked before kill -9: $ACKED inserts"
-[[ $ACKED -gt 0 ]] || { echo "no insert was acked before the kill"; exit 1; }
+# Every acked insert is durable on some shard's WAL; pull the plug
+# mid-stream.
+crash_mid_load "$DAEMON_ADDR" "$DAEMON_PID"
 
 # Every shard must have its own WAL segment directory, plus the shard
 # count identity file.
@@ -224,35 +145,10 @@ if BF_WAL_FSYNC=1 "$SERVERD" --port=0 --shards=2 --data-dir="$DATA_DIR" \
   echo "reshard open unexpectedly succeeded"; exit 1
 fi
 
-BF_WAL_FSYNC=1 "$SERVERD" --port=0 --workers=8 --shards=$SHARDS \
-  --data-dir="$DATA_DIR" >"$DLOG" 2>&1 &
-DURABLE_PID=$!
-DADDR=$(wait_addr "$DLOG" "$DURABLE_PID") ||
-  { echo "durable sharded serverd died on restart"; exit 1; }
-
-RECOVERED=$(run_sql "$DADDR" "SELECT COUNT(*) AS n FROM crashy;" |
-  grep -oE '[0-9]+' | sort -n | tail -1)
-echo "recovered after restart: ${RECOVERED:-0} rows"
-if [[ -z ${RECOVERED:-} || $RECOVERED -lt $ACKED ]]; then
-  echo "sharded recovery lost acked commits (acked=$ACKED recovered=${RECOVERED:-0})"
-  exit 1
-fi
-# Sequential loader: at most one insert in flight when the plug pulled.
-if [[ $RECOVERED -gt $((ACKED + 1)) ]]; then
-  echo "sharded recovery has extra rows (acked=$ACKED recovered=$RECOVERED)"
-  exit 1
-fi
-
-kill -TERM "$DURABLE_PID"
-STATUS=0
-wait "$DURABLE_PID" || STATUS=$?
-DURABLE_PID=""
-if [[ $STATUS -ne 0 ]]; then
-  cat "$DLOG"
-  echo "durable sharded serverd exited non-zero ($STATUS)"
-  exit "$STATUS"
-fi
-trap - EXIT
+BF_WAL_FSYNC=1 start_daemon "$DLOG" --port=0 --workers=8 --shards=$SHARDS \
+  --data-dir="$DATA_DIR"
+check_recovered "$DAEMON_ADDR"
+stop_daemon "$DAEMON_PID" "durable sharded serverd"
 rm -rf "$DATA_DIR"
 echo "sharded durable kill -9 recovery OK (acked=$ACKED recovered=$RECOVERED)"
 echo "shard smoke OK"

@@ -767,6 +767,7 @@ void MigrationController::OnMigrationComplete(ActiveState* state) {
   for (const std::string& name : state->plan.retire_tables) {
     (void)catalog_->DropTable(name);
   }
+  state->inputs_dropped.store(true, std::memory_order_release);
   if (!state->plan.source_script.empty() &&
       !state->opts.replicated_replay) {
     std::string blob;
@@ -1214,11 +1215,24 @@ bool MigrationController::ShouldForwardReads(const std::string& table) const {
   return m != nullptr && !m->IsComplete();
 }
 
-void MigrationController::WithQuiescedRequests(
-    const std::function<void()>& fn) {
-  std::unique_lock switch_lock(*switch_gate_);
-  fn();
+namespace {
+
+/// True when every output table of `plan` has a unique index (primary
+/// key, UNIQUE constraint or unique secondary index).
+bool OutputsHaveUniqueKeys(const MigrationPlan& plan) {
+  for (const TableSchema& t : plan.new_tables) {
+    if (!t.primary_key().empty() || !t.unique_constraints().empty()) continue;
+    if (std::none_of(plan.new_indexes.begin(), plan.new_indexes.end(),
+                     [&](const IndexSpec& i) {
+                       return i.unique && i.table == t.name();
+                     })) {
+      return false;
+    }
+  }
+  return true;
 }
+
+}  // namespace
 
 Status MigrationController::DescribeTrainForCheckpoint(
     std::vector<CheckpointMigration>* out) const {
@@ -1229,7 +1243,17 @@ Status MigrationController::DescribeTrainForCheckpoint(
   }
   out->clear();
   for (const auto& state : states_) {
-    if (state->complete.load(std::memory_order_acquire)) continue;
+    if (state->complete.load(std::memory_order_acquire)) {
+      // `complete` is published before the retired inputs are dropped: a
+      // capture in between would embed no migration yet encode those
+      // inputs, and nothing on the restored node would ever drop them.
+      if (!state->inputs_dropped.load(std::memory_order_acquire)) {
+        return Status::Busy(
+            "checkpoint deferred: a completed migration is still dropping "
+            "its inputs");
+      }
+      continue;
+    }
     if (state->opts.strategy != MigrationStrategy::kLazy) {
       return Status::Busy(
           "checkpoint deferred: a non-lazy migration is in flight");
@@ -1238,6 +1262,14 @@ Status MigrationController::DescribeTrainForCheckpoint(
       return Status::Busy(
           "checkpoint deferred: an active migration has no source script "
           "(programmatic plans cannot be rebuilt from a checkpoint)");
+    }
+    // A restored started entry re-migrates every granule marked below the
+    // checkpoint offset and relies on ON CONFLICT DO NOTHING to discard
+    // the copies (§3.7); without a unique key they would be kept.
+    if (!OutputsHaveUniqueKeys(state->plan)) {
+      return Status::Busy(
+          "checkpoint deferred: an active migration has an output table "
+          "with no primary key or unique constraint");
     }
     CheckpointMigration m;
     m.started = true;

@@ -292,24 +292,20 @@ class MigrationController {
   /// local data alone and should read through to the primary.
   bool ShouldForwardReads(const std::string& table) const;
 
-  /// For the quiesce-free checkpoint writer: describes the whole
-  /// migration train in replication terms — one entry per incomplete
-  /// started migration (in submit order), then one per queued migration
-  /// (in queue order), each carrying the EncodeMigrateBlob payload a
-  /// restored node can re-submit. Returns NotFound when nothing is in
-  /// flight (nothing to embed), Busy when the train is not embeddable —
-  /// non-lazy strategies, programmatic (script-less) plans, and a submit
-  /// mid-construction cannot be reconstructed from blobs, so those still
-  /// defer the checkpoint.
+  /// For the checkpoint writer: describes the whole migration train in
+  /// replication terms — one entry per incomplete started migration (in
+  /// submit order), then one per queued migration (in queue order), each
+  /// carrying the EncodeMigrateBlob payload a restored node can
+  /// re-submit. Returns NotFound when nothing is in flight (nothing to
+  /// embed), Busy when the train is not embeddable — non-lazy
+  /// strategies, programmatic (script-less) plans, and a submit
+  /// mid-construction cannot be reconstructed from blobs; a started entry
+  /// with an output table that has no unique key cannot deduplicate the
+  /// granules a restore re-migrates; and a complete entry that has not
+  /// yet dropped its retired inputs would leave them on the restored
+  /// node. Those cases defer the checkpoint.
   Status DescribeTrainForCheckpoint(
       std::vector<CheckpointMigration>* out) const;
-
-  /// Runs `fn` with the schema-switch gate held exclusively: no client
-  /// request (and no logical switch) is in flight while it runs. The
-  /// checkpoint writer uses this to capture a consistent snapshot.
-  /// Caveat: the gate is held shared for a session's whole BEGIN..COMMIT
-  /// scope, so this waits out open explicit transactions.
-  void WithQuiescedRequests(const std::function<void()>& fn);
 
  private:
   /// Per-migration state. Immutable once published through `states_`
@@ -338,6 +334,9 @@ class MigrationController {
     std::unique_ptr<MultiStepCopier> multistep;
     Stopwatch since_submit;
     std::atomic<bool> complete{false};
+    /// Set once OnMigrationComplete has dropped the retired inputs; until
+    /// then a complete entry still has them in the catalog.
+    std::atomic<bool> inputs_dropped{false};
     std::atomic<double> complete_s{-1.0};
     /// Output table name -> statement index.
     std::unordered_map<std::string, size_t> by_output;

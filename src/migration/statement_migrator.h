@@ -201,12 +201,6 @@ class AggregateMigrator final : public StatementMigrator {
 
   HashTracker* hashmap() { return tracker_.get(); }
 
-  /// Migrates one explicit group key (used by client DML paths that know
-  /// the exact group, e.g. maintenance of the aggregate on writes).
-  Status MigrateGroup(const Tuple& key) {
-    return MigrateGroups({key}, /*wait_for_skipped=*/true);
-  }
-
  protected:
   Status MigrateCandidates(const RewrittenPredicates& preds) override;
 

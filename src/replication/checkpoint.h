@@ -26,18 +26,18 @@ namespace bullfrog::replication {
 ///   u8 n_migrations |
 ///   per entry (in train/submit order): u8 started |
 ///              lp migrate blob (migration/replication_log.h)
-/// Version-3 captures the whole migration train: started entries load
+/// The trailer captures the whole migration train: started entries load
 /// with resume_after_switch, queued entries re-queue and start only when
-/// their replicated "migrate_start" record arrives. Version-2 blobs
-/// (u8 has_migration | one blob) and version-1 blobs (no snapshot_ts, no
-/// migration section) still load.
+/// their replicated "migrate_start" record arrives. Version 3 is the only
+/// format; older blobs load as Unsupported.
 ///
-/// Capture modes. With snapshot reads enabled (BF_SNAPSHOT_READS=1 /
-/// Database::SetSnapshotReads), the capture is quiesce-free: it holds the
-/// controller's switch gate *shared* — client traffic keeps flowing; only
-/// a concurrent logical switch serializes against it — and scans every
-/// table through the MVCC version chains at one snapshot timestamp T.
-/// The barrier pairing T with the embedded wal_offset O:
+/// Capture. There is one capture path, in either read mode: writers
+/// install versions and stamp commit timestamps whether or not
+/// BF_SNAPSHOT_READS is on, and the capture pins its own snapshot. It
+/// holds the controller's switch gate *shared* — client traffic keeps
+/// flowing; only a concurrent logical switch serializes against it — and
+/// scans every table through the MVCC version chains at one snapshot
+/// timestamp T. The barrier pairing T with the embedded wal_offset O:
 ///   1. O = offset_base + redo-log size,
 ///   2. SnapshotManager::WaitForAllocatedCommits() — commit timestamps
 ///      are allocated before the durable append, so every transaction
@@ -45,20 +45,18 @@ namespace bullfrog::replication {
 ///   3. T = pinned visible clock (>= every such commit's ts).
 /// Records at offsets >= O with ts <= T are replayed on top of the
 /// snapshot; LogApplier applies them idempotently. A live *lazy* script-
-/// based migration no longer defers the checkpoint: its replication blob
+/// based migration does not defer the checkpoint: its replication blob
 /// is embedded, and LoadCheckpoint re-submits it with replicated_replay
 /// and ON CONFLICT duplicate detection so granule marks lost below O are
 /// simply re-migrated and deduplicated at insert time (this leans on the
 /// §3.7 on-conflict mode, i.e. deterministic unique keys on the output
-/// tables). The whole migration train is embedded — every started entry
-/// plus the queued scripts in submit order. Non-lazy and script-less
-/// migrations still return Busy, as does a capture racing a submit
-/// mid-construction.
-///
-/// With snapshot reads off, the legacy path runs: requests are quiesced
-/// via the switch gate held exclusively, any in-flight migration returns
-/// Busy, and tables are scanned at latest (snapshot_ts is recorded as the
-/// visible clock, which the quiesce makes equivalent).
+/// tables). Busy is returned while the train cannot be embedded: a
+/// non-lazy or script-less migration, a started one with an output table
+/// that has no primary key or UNIQUE constraint (nothing would discard
+/// the re-migrated rows), or a submit mid-construction. It is also
+/// returned when a migration completes around the capture: between
+/// publishing `complete` and dropping its retired inputs, or during the
+/// table scan (the train is described again after it).
 ///
 /// `offset_base` shifts the embedded wal_offset: the in-memory redo log
 /// holds only the records since the last restart, so a WalDir whose

@@ -32,11 +32,11 @@ Status Replica::Start() {
   if (started_.exchange(true)) return Status::InvalidArgument("already started");
 
   // Bootstrap: fetch a checkpoint, retrying while the primary is still
-  // coming up (kUnavailable) or defers the capture (kBusy — e.g. a
-  // quiesced-mode checkpoint with a migration in flight). Backoff is
-  // exponential, bootstrap_retry_ms doubling up to
-  // bootstrap_max_backoff_ms, and the current wait is published in the
-  // status line (ADMIN "replication") instead of failing hard.
+  // coming up (kUnavailable) or defers the capture (kBusy — a migration
+  // it cannot embed is in flight). Backoff is exponential,
+  // bootstrap_retry_ms doubling up to bootstrap_max_backoff_ms, and the
+  // current wait is published in the status line (ADMIN "replication")
+  // instead of failing hard.
   server::Client boot;
   std::string blob;
   Status last = Status::Unavailable("bootstrap never attempted");

@@ -29,13 +29,13 @@ struct ReplicaOptions {
   /// frames into ONE LogApplier::Apply call, amortizing the apply-side
   /// bookkeeping the same way group commit amortizes the fsync.
   uint32_t tail_coalesce_frames = 8;
-  /// Bootstrap retries while the primary reports kBusy (a migration in
-  /// flight can defer checkpoint capture) or is not yet accepting.
-  /// Retries back off exponentially from bootstrap_retry_ms, doubling up
-  /// to bootstrap_max_backoff_ms per attempt — a primary that stays busy
-  /// (e.g. quiesced-mode checkpoints mid-migration) is polled gently
-  /// instead of hammered, and the replica keeps reporting the wait in its
-  /// status line rather than failing hard.
+  /// Bootstrap retries while the primary reports kBusy (a migration it
+  /// cannot embed defers checkpoint capture, see CaptureCheckpoint) or is not
+  /// yet accepting. Retries back off exponentially from
+  /// bootstrap_retry_ms, doubling up to bootstrap_max_backoff_ms per
+  /// attempt — a primary that stays busy is polled gently instead of
+  /// hammered, and the replica keeps reporting the wait in its status
+  /// line rather than failing hard.
   int bootstrap_retries = 100;
   int64_t bootstrap_retry_ms = 200;
   int64_t bootstrap_max_backoff_ms = 2000;

@@ -1,7 +1,9 @@
-// Replication subsystem tests: checkpoint round-trips, checkpoint-aware
-// WAL-directory recovery (identical output with and without a checkpoint,
-// plus segment GC), idempotent replicated tracker marks safe against a
-// concurrently completing migration, and the end-to-end acceptance test:
+// Replication subsystem tests: checkpoint round-trips and the cases that
+// still defer or refuse a checkpoint, checkpoint-aware WAL-directory
+// recovery (identical output with and without a checkpoint, plus segment
+// GC), idempotent replicated tracker marks safe against a concurrently
+// completing migration, the replica's bounded-backoff bootstrap against
+// a busy primary, and the end-to-end acceptance test:
 // clients read from a live replica while the primary runs a wire-driven
 // lazy migration to completion, then both sides converge byte-for-byte.
 
@@ -24,6 +26,29 @@
 #include "sql/engine.h"
 #include "sql/migration_compiler.h"
 #include "sql/parser.h"
+#include "storage/value_codec.h"
+
+namespace bullfrog {
+
+/// White-box access for tests: runs OnMigrationComplete on every started
+/// entry or, with `publish_only`, stops after its first step (publishing
+/// `complete`), before the retired inputs are dropped.
+class MigrationControllerTestPeer {
+ public:
+  static void Complete(MigrationController& c, bool publish_only) {
+    std::vector<std::shared_ptr<MigrationController::ActiveState>> states;
+    {
+      std::lock_guard lock(c.mu_);
+      states = c.states_;
+    }
+    for (const auto& s : states) {
+      s->complete.store(publish_only);
+      if (!publish_only) c.OnMigrationComplete(s.get());
+    }
+  }
+};
+
+}  // namespace bullfrog
 
 namespace bullfrog::replication {
 namespace {
@@ -98,6 +123,20 @@ TEST(CheckpointTest, RoundTripPreservesDumpRidsAndIndexes) {
       LoadCheckpoint(&c, blob.substr(0, blob.size() / 2), &ignored).ok());
 }
 
+/// Compiles a migration script into a programmatic plan: no
+/// source_script, so it can be neither replicated nor embedded in a
+/// checkpoint.
+MigrationPlan ScriptlessPlan(Database* db, const std::string& script) {
+  auto stmts = sql::ParseSqlScript(script);
+  EXPECT_TRUE(stmts.ok()) << stmts.status();
+  auto plan = sql::CompileMigration(*stmts, &db->catalog());
+  EXPECT_TRUE(plan.ok()) << plan.status();
+  return std::move(*plan);
+}
+
+// A script-based lazy migration is embedded in the checkpoint (see
+// MvccCheckpointTest); a programmatic plan cannot be rebuilt from a blob,
+// so the capture still defers while one is in flight.
 TEST(CheckpointTest, BusyWhileMigrationInFlight) {
   Database db;
   sql::SqlEngine engine(&db);
@@ -105,15 +144,68 @@ TEST(CheckpointTest, BusyWhileMigrationInFlight) {
 
   MigrationController::SubmitOptions opts;
   opts.enable_background = false;  // Keep it in flight forever.
+  ASSERT_TRUE(db.controller()
+                  .Submit(ScriptlessPlan(&db,
+                                         "CREATE TABLE kv2 PRIMARY KEY (id) AS "
+                                         "SELECT id, name FROM kv; "
+                                         "DROP TABLE kv;"),
+                          opts)
+                  .ok());
+  std::string blob;
+  const Status s = CaptureCheckpoint(&db, &blob);
+  EXPECT_EQ(s.code(), StatusCode::kBusy) << s;
+}
+
+// OnMigrationComplete publishes `complete` before it drops the retired
+// inputs. A capture in between would embed no migration yet encode the
+// inputs, which nothing on the restored node would ever drop, so it
+// defers; once they are dropped the blob restores to an equal dump.
+TEST(CheckpointTest, BusyUntilCompletedMigrationDropsItsInputs) {
+  Database db;
+  sql::SqlEngine engine(&db);
+  RunWorkload(&engine, 1);
+  MigrationController::SubmitOptions opts;
+  opts.enable_background = false;
   ASSERT_TRUE(engine
                   .SubmitMigrationScript(
                       "CREATE TABLE kv2 PRIMARY KEY (id) AS "
                       "SELECT id, name FROM kv; DROP TABLE kv;",
                       opts)
                   .ok());
+  MustExec(&engine, "SELECT * FROM kv2");  // Pulls every row.
+
+  MigrationControllerTestPeer::Complete(db.controller(),
+                                        /*publish_only=*/true);
   std::string blob;
   const Status s = CaptureCheckpoint(&db, &blob);
   EXPECT_EQ(s.code(), StatusCode::kBusy) << s;
+
+  MigrationControllerTestPeer::Complete(db.controller(),
+                                        /*publish_only=*/false);
+  ASSERT_EQ(db.catalog().GetState("kv"), TableState::kDropped);
+  ASSERT_TRUE(CaptureCheckpoint(&db, &blob).ok());
+  Database restored;
+  uint64_t wal_offset = 0;
+  ASSERT_TRUE(LoadCheckpoint(&restored, blob, &wal_offset).ok());
+  EXPECT_FALSE(restored.controller().HasActiveMigration());
+  EXPECT_EQ(restored.catalog().GetState("kv"), TableState::kDropped);
+  EXPECT_EQ(DumpForDigest(&db), DumpForDigest(&restored));
+}
+
+// Version 3 is the only blob format: a well-formed header of an older
+// version is refused before anything is restored.
+TEST(CheckpointTest, OlderVersionIsUnsupported) {
+  std::string blob = "BFCK";
+  codec::PutU32(&blob, 2);  // version
+  codec::PutU64(&blob, 0);  // wal_offset
+  codec::PutU64(&blob, 0);  // snapshot_ts
+  codec::PutU32(&blob, 0);  // ntables
+  blob.push_back(0);        // has_migration
+  Database db;
+  uint64_t wal_offset = 0;
+  const Status s = LoadCheckpoint(&db, blob, &wal_offset);
+  EXPECT_EQ(s.code(), StatusCode::kUnsupported) << s;
+  EXPECT_TRUE(db.catalog().TablesInState(TableState::kActive).empty());
 }
 
 // Satellite: checkpoint-aware startup. The same workload recovered (a)
@@ -408,6 +500,54 @@ TEST(ReplicatedMarkTest, IdempotentAndSafeAfterCompletion) {
   }
   stop.store(true, std::memory_order_release);
   marker.join();
+}
+
+// A primary whose in-flight migration cannot be embedded (a programmatic
+// plan) answers the bootstrap checkpoint with kBusy; the replica's
+// bounded-backoff loop rides that out and bootstraps once the migration
+// completes, converging with the primary.
+TEST(ReplicaBootstrapTest, BacksOffUntilBusyPrimaryCompletes) {
+  Database primary_db;
+  sql::SqlEngine engine(&primary_db);
+  RunWorkload(&engine, 1);
+  server::Server primary(&primary_db, server::ServerConfig{});
+  ASSERT_TRUE(primary.Start().ok());
+
+  MigrationController::SubmitOptions opts;
+  opts.lazy.background_start_delay_ms = 1000;
+  ASSERT_TRUE(primary_db.controller()
+                  .Submit(ScriptlessPlan(&primary_db,
+                                         "CREATE TABLE kv2 PRIMARY KEY (id) AS "
+                                         "SELECT id, name FROM kv; "
+                                         "DROP TABLE kv;"),
+                          opts)
+                  .ok());
+  std::string blob;
+  const Status busy = CaptureCheckpoint(&primary_db, &blob);
+  ASSERT_EQ(busy.code(), StatusCode::kBusy) << busy;
+
+  Database replica_db;
+  ReplicaOptions ropts;
+  ropts.primary = "127.0.0.1:" + std::to_string(primary.port());
+  ropts.bootstrap_retry_ms = 20;
+  ropts.bootstrap_max_backoff_ms = 50;
+  ropts.bootstrap_retries = 1000;
+  Replica replica(&replica_db, ropts);
+  Status started = replica.Start();
+  ASSERT_TRUE(started.ok()) << started;
+  EXPECT_TRUE(primary_db.controller().IsComplete());
+  EXPECT_EQ(primary_db.catalog().GetState("kv"), TableState::kDropped);
+
+  Stopwatch waited;
+  while (DumpForDigest(&primary_db) != DumpForDigest(&replica_db)) {
+    ASSERT_LT(waited.ElapsedSeconds(), 30.0)
+        << "replica never converged; status: " << replica.StatusReport();
+    Clock::SleepMillis(20);
+  }
+  EXPECT_NE(DumpForDigest(&replica_db).find("table kv2"), std::string::npos);
+
+  replica.Stop();
+  primary.Stop();
 }
 
 // Satellite: the end-to-end acceptance test. A replica bootstraps from a
