@@ -1,21 +1,19 @@
-// YCSB-style read-heavy Zipf bench: 2PL shared-lock readers vs MVCC
-// snapshot readers, both racing read-modify-write writers and a live
-// lazy table migration.
+// YCSB-style read-heavy Zipf bench: MVCC snapshot readers racing
+// read-modify-write writers and a live lazy table migration.
 //
 // Workload (YCSB-B shape): reader transactions do --reads-per-txn point
-// lookups on Zipf(theta)-distributed keys and, in 2PL mode, take a
-// shared row lock on every row they touched so the transaction is
-// repeatable-read; writer transactions bump a counter column on two
-// Zipf keys under exclusive locks. One second in, a lazy migration
-// (id+counter carried to a new table, old table dropped) is submitted,
-// so reader lookups start pulling granules through migration
-// transactions that hold exclusive locks on freshly copied rows.
+// lookups on Zipf(theta)-distributed keys; writer transactions bump a
+// counter column on two Zipf keys under exclusive locks. One second in,
+// a lazy migration (id+counter carried to a new table, old table
+// dropped) is submitted, so reader lookups start pulling granules
+// through migration transactions that hold exclusive locks on freshly
+// copied rows.
 //
-// Under wait-die, a 2PL reader that hits a writer's or a migration
-// pull's exclusive lock — or a writer that hits a reader's shared lock
-// — dies with kTxnConflict. Snapshot readers take no row locks at all:
-// reader aborts must be exactly zero, which is the acceptance assertion
-// this binary checks (exit code 1 if violated).
+// Under wait-die, a writer that hits a writer's or a migration pull's
+// exclusive lock may die with kTxnConflict. Readers take no row locks
+// at all: reader aborts must be exactly zero, which is the acceptance
+// assertion this binary checks (exit code 1 if violated). The 2PL
+// shared-lock reader baseline is recorded in EXPERIMENTS.md.
 //
 // Usage: ycsb_snapshot [--rows N] [--seconds S] [--readers N]
 //                      [--writers N] [--theta T] [--reads-per-txn K]
@@ -71,7 +69,6 @@ const char* TableName(const Shared& sh) {
 void ReaderLoop(Shared* sh, uint64_t seed, ThreadStats* stats) {
   ZipfGenerator zipf(static_cast<uint64_t>(sh->cfg->rows), sh->cfg->theta,
                      seed);
-  const bool mvcc = sh->db->snapshot_reads();
   while (!sh->stop.load(std::memory_order_relaxed)) {
     const std::string table = TableName(*sh);
     const uint64_t start = Clock::NowMicros();
@@ -86,22 +83,6 @@ void ReaderLoop(Shared* sh, uint64_t seed, ThreadStats* stats) {
         ok = false;
         conflict = rows.status().IsTxnConflict();
         retired = rows.status().code() == StatusCode::kSchemaMismatch;
-        break;
-      }
-      if (!mvcc) {
-        // Repeatable read under 2PL: pin every row we report with a
-        // shared lock (snapshot mode gets consistency for free).
-        Table* t = sh->db->catalog().FindTable(table);
-        for (const auto& [rid, row] : *rows) {
-          Tuple tmp;
-          Status st = sh->db->txns().Read(s.txn(), t, rid, &tmp,
-                                          /*for_update=*/false);
-          if (!st.ok()) {
-            ok = false;
-            conflict = st.IsTxnConflict();
-            break;
-          }
-        }
       }
     }
     if (ok) ok = sh->db->Commit(&s).ok();
@@ -172,7 +153,7 @@ uint64_t Percentile(std::vector<uint64_t>* v, double p) {
   return (*v)[idx];
 }
 
-struct ModeResult {
+struct RunResult {
   uint64_t reader_commits = 0;
   uint64_t reader_aborts = 0;
   uint64_t switch_retries = 0;
@@ -184,9 +165,8 @@ struct ModeResult {
   bool migration_complete = false;
 };
 
-ModeResult RunMode(bool snapshot_reads, const Config& cfg) {
+RunResult Run(const Config& cfg) {
   Database db;
-  db.SetSnapshotReads(snapshot_reads);
   sql::SqlEngine engine(&db);
 
   {
@@ -238,7 +218,7 @@ ModeResult RunMode(bool snapshot_reads, const Config& cfg) {
   sh.stop.store(true, std::memory_order_relaxed);
   for (auto& t : threads) t.join();
 
-  ModeResult result;
+  RunResult result;
   std::vector<uint64_t> lat;
   for (auto& s : reader_stats) {
     result.reader_commits += s.commits;
@@ -291,37 +271,26 @@ int main(int argc, char** argv) {
       static_cast<long long>(cfg.rows), cfg.theta, cfg.readers, cfg.writers,
       cfg.reads_per_txn, cfg.seconds);
   std::printf(
-      "# mode      reader_commits reader_waitdie reader_other "
-      "writer_commits writer_waitdie switch_retries p50_us p99_us "
-      "migration\n");
+      "# reader_commits reader_waitdie reader_other writer_commits "
+      "writer_waitdie switch_retries p50_us p99_us migration\n");
 
-  bool pass = true;
-  for (bool snapshot : {false, true}) {
-    ModeResult r = RunMode(snapshot, cfg);
-    std::printf(
-        "%-10s %14llu %14llu %12llu %14llu %14llu %14llu %6llu %6llu %s\n",
-        snapshot ? "snapshot" : "2pl",
-        static_cast<unsigned long long>(r.reader_commits),
-        static_cast<unsigned long long>(r.reader_aborts),
-        static_cast<unsigned long long>(r.reader_other),
-        static_cast<unsigned long long>(r.writer_commits),
-        static_cast<unsigned long long>(r.writer_aborts),
-        static_cast<unsigned long long>(r.switch_retries),
-        static_cast<unsigned long long>(r.p50_us),
-        static_cast<unsigned long long>(r.p99_us),
-        r.migration_complete ? "complete" : "in-flight");
-    if (snapshot && r.reader_aborts != 0) {
-      std::fprintf(stderr,
-                   "FAIL: snapshot readers took %llu wait-die aborts "
-                   "(expected exactly 0)\n",
-                   static_cast<unsigned long long>(r.reader_aborts));
-      pass = false;
-    }
-    if (!snapshot && r.reader_aborts == 0) {
-      std::fprintf(stderr,
-                   "note: 2PL baseline saw no reader aborts this run; "
-                   "raise --writers or lower --rows for contrast\n");
-    }
+  const RunResult r = Run(cfg);
+  std::printf("%16llu %14llu %12llu %14llu %14llu %14llu %6llu %6llu %s\n",
+              static_cast<unsigned long long>(r.reader_commits),
+              static_cast<unsigned long long>(r.reader_aborts),
+              static_cast<unsigned long long>(r.reader_other),
+              static_cast<unsigned long long>(r.writer_commits),
+              static_cast<unsigned long long>(r.writer_aborts),
+              static_cast<unsigned long long>(r.switch_retries),
+              static_cast<unsigned long long>(r.p50_us),
+              static_cast<unsigned long long>(r.p99_us),
+              r.migration_complete ? "complete" : "in-flight");
+  if (r.reader_aborts != 0) {
+    std::fprintf(stderr,
+                 "FAIL: snapshot readers took %llu wait-die aborts "
+                 "(expected exactly 0)\n",
+                 static_cast<unsigned long long>(r.reader_aborts));
+    return 1;
   }
-  return pass ? 0 : 1;
+  return 0;
 }

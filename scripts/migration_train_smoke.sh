@@ -17,8 +17,8 @@
 #      from it, resumes the train from the WAL, and still converges,
 #   6. every daemon exits 0 on SIGTERM (the sanitizer legs turn leaks
 #      and races into non-zero exits).
-# The checkpoint capture reads at its own pinned snapshot, so every leg
-# runs in both read modes (BF_SNAPSHOT_READS unset or 1).
+# The checkpoint capture reads at its own pinned snapshot, so client
+# traffic keeps flowing through every leg, checkpoints included.
 # Run from the repo root with the build directory as $1 (default: build).
 set -euo pipefail
 

@@ -18,8 +18,7 @@
 # bootstraps a replica off the recovered primary and requires the dumps
 # to converge (the LSN-keyed tail stream resumes cleanly post-crash).
 # A fourth leg checkpoints mid-migration and bootstraps a replica from
-# the in-flight migration, in whichever read mode BF_SNAPSHOT_READS
-# selects.
+# the in-flight migration.
 # Run from the repo root with the build directory as $1 (default:
 # build). Intended for the sanitizer CI legs: any leak or race aborts a
 # daemon with a non-zero exit and fails the script.
@@ -177,7 +176,7 @@ echo "replication smoke OK"
 # while a lazy migration is still in flight, and a replica bootstrapped
 # from that mid-migration checkpoint must converge once the migration
 # completes on the primary. The capture reads at its own pinned
-# snapshot, so this holds in both read modes.
+# snapshot, so client traffic need not pause for it.
 MVCC_DIR=$(mktemp -d /tmp/bullfrog_mvcc_data.XXXXXX)
 start_daemon "$(mktemp /tmp/bullfrog_mvcc.XXXXXX.log)" --port=0 --workers=8 \
   --data-dir="$MVCC_DIR"

@@ -35,6 +35,34 @@ Status TracedPrepare(const std::string& table, Fn&& fn) {
   return s;
 }
 
+// The locked re-read shared by Select(for_update), Update and Delete. The
+// candidates come from an unlocked head scan, so each row is locked,
+// re-read and re-checked against the predicate before fn(rid, row) sees
+// it: a row deleted (or a pending insert aborted) by lock time is skipped,
+// and so is one whose predicate columns changed.
+template <typename Fn>
+Status ForEachLockedMatch(TransactionManager* txns, Transaction* txn,
+                          Table* t, const ExprPtr& pred, Fn&& fn) {
+  std::vector<RowId> candidates;
+  BF_RETURN_NOT_OK(ScanWhere(*t, pred, [&](RowId rid, const Tuple&) {
+                     candidates.push_back(rid);
+                     return true;
+                   }).status());
+  ExprPtr bound;
+  if (pred != nullptr) {
+    BF_ASSIGN_OR_RETURN(bound, pred->Bind(t->schema()));
+  }
+  for (RowId rid : candidates) {
+    Tuple current;
+    Status read = txns->ReadForUpdate(txn, t, rid, &current);
+    if (read.IsNotFound()) continue;
+    BF_RETURN_NOT_OK(read);
+    if (bound != nullptr && !bound->Matches(current)) continue;
+    BF_RETURN_NOT_OK(fn(rid, std::move(current)));
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 Database::Database() : controller_(&catalog_, &txns_) {
@@ -144,23 +172,22 @@ Result<std::vector<std::pair<RowId, Tuple>>> Database::Select(
   BF_RETURN_NOT_OK(TracedPrepare(
       table, [&] { return controller_.PrepareRead(table, pred); }));
   BF_ASSIGN_OR_RETURN(Table * t, catalog_.RequireActive(table));
-  if (!for_update && txns_.snapshot_reads()) {
-    // Statement-level snapshot, taken *after* the lazy pull above so rows
-    // this statement itself migrated are visible, and pinned for the scan
-    // so GC cannot unlink versions under it. Own uncommitted writes are
-    // visible through the txn id in the view.
-    mvcc::SnapshotManager::PinGuard pin(&txns_.snapshots());
-    return CollectWhereAt(*t, pred,
-                          mvcc::ReadView{pin.ts(), session->txn()->id()});
-  }
-  BF_ASSIGN_OR_RETURN(auto rows, CollectWhere(*t, pred));
   if (for_update) {
-    for (auto& [rid, row] : rows) {
-      BF_RETURN_NOT_OK(txns_.Read(session->txn(), t, rid, &row,
-                                  /*for_update=*/true));
-    }
+    std::vector<std::pair<RowId, Tuple>> rows;
+    BF_RETURN_NOT_OK(ForEachLockedMatch(
+        &txns_, session->txn(), t, pred, [&](RowId rid, Tuple row) {
+          rows.emplace_back(rid, std::move(row));
+          return Status::OK();
+        }));
+    return rows;
   }
-  return rows;
+  // Statement-level snapshot, taken *after* the lazy pull above so rows
+  // this statement itself migrated are visible, and pinned for the scan
+  // so GC cannot unlink versions under it. Own uncommitted writes are
+  // visible through the txn id in the view.
+  mvcc::SnapshotManager::PinGuard pin(&txns_.snapshots());
+  return CollectWhereAt(*t, pred,
+                        mvcc::ReadView{pin.ts(), session->txn()->id()});
 }
 
 Status Database::MaybePropagate(Session* session, const std::string& table,
@@ -192,27 +219,17 @@ Result<uint64_t> Database::Update(
   BF_RETURN_NOT_OK(TracedPrepare(
       table, [&] { return controller_.PrepareWrite(table, pred); }));
   BF_ASSIGN_OR_RETURN(Table * t, catalog_.RequireActive(table));
-  BF_ASSIGN_OR_RETURN(auto matches, CollectWhere(*t, pred));
   uint64_t updated = 0;
-  for (auto& [rid, stale] : matches) {
-    // Lock, re-read (the row may have changed since the scan), re-check
-    // the predicate, then write.
-    Tuple current;
-    Status read = txns_.Read(session->txn(), t, rid, &current,
-                             /*for_update=*/true);
-    if (read.IsNotFound()) continue;  // Deleted since the scan.
-    BF_RETURN_NOT_OK(read);
-    if (pred != nullptr) {
-      BF_ASSIGN_OR_RETURN(ExprPtr bound, pred->Bind(t->schema()));
-      if (!bound->Matches(current)) continue;
-    }
-    Tuple next = updater(current);
-    BF_RETURN_NOT_OK(controller_.CheckForeignKeys(table, next));
-    BF_RETURN_NOT_OK(txns_.Update(session->txn(), t, rid, next));
-    BF_RETURN_NOT_OK(MaybePropagate(session, table, rid, next,
-                                    /*deleted=*/false));
-    ++updated;
-  }
+  BF_RETURN_NOT_OK(ForEachLockedMatch(
+      &txns_, session->txn(), t, pred, [&](RowId rid, Tuple current) {
+        Tuple next = updater(current);
+        BF_RETURN_NOT_OK(controller_.CheckForeignKeys(table, next));
+        BF_RETURN_NOT_OK(txns_.Update(session->txn(), t, rid, next));
+        BF_RETURN_NOT_OK(MaybePropagate(session, table, rid, next,
+                                        /*deleted=*/false));
+        ++updated;
+        return Status::OK();
+      }));
   return updated;
 }
 
@@ -221,23 +238,15 @@ Result<uint64_t> Database::Delete(Session* session, const std::string& table,
   BF_RETURN_NOT_OK(TracedPrepare(
       table, [&] { return controller_.PrepareWrite(table, pred); }));
   BF_ASSIGN_OR_RETURN(Table * t, catalog_.RequireActive(table));
-  BF_ASSIGN_OR_RETURN(auto matches, CollectWhere(*t, pred));
   uint64_t deleted = 0;
-  for (auto& [rid, stale] : matches) {
-    Tuple current;
-    Status read = txns_.Read(session->txn(), t, rid, &current,
-                             /*for_update=*/true);
-    if (read.IsNotFound()) continue;
-    BF_RETURN_NOT_OK(read);
-    if (pred != nullptr) {
-      BF_ASSIGN_OR_RETURN(ExprPtr bound, pred->Bind(t->schema()));
-      if (!bound->Matches(current)) continue;
-    }
-    BF_RETURN_NOT_OK(txns_.Delete(session->txn(), t, rid));
-    BF_RETURN_NOT_OK(MaybePropagate(session, table, rid, current,
-                                    /*deleted=*/true));
-    ++deleted;
-  }
+  BF_RETURN_NOT_OK(ForEachLockedMatch(
+      &txns_, session->txn(), t, pred, [&](RowId rid, Tuple current) {
+        BF_RETURN_NOT_OK(txns_.Delete(session->txn(), t, rid));
+        BF_RETURN_NOT_OK(MaybePropagate(session, table, rid, current,
+                                        /*deleted=*/true));
+        ++deleted;
+        return Status::OK();
+      }));
   return deleted;
 }
 

@@ -90,8 +90,10 @@ class Database {
 
   /// --- DML (§2.1 request path: migrate first, then run) ----------------
 
-  /// Returns rows matching `pred` (nullptr = all). With `for_update`,
-  /// matching rows are X-locked for the rest of the session.
+  /// Returns rows matching `pred` (nullptr = all) as of a snapshot taken
+  /// for this statement: committed rows plus the session's own writes,
+  /// with no row locks. With `for_update`, rows are instead read at their
+  /// latest version under X locks held for the rest of the session.
   Result<std::vector<std::pair<RowId, Tuple>>> Select(
       Session* session, const std::string& table, const ExprPtr& pred,
       bool for_update = false);
@@ -121,11 +123,6 @@ class Database {
   obs::MetricsRegistry& metrics() { return metrics_; }
   obs::MigrationTracer& tracer() { return tracer_; }
   mvcc::VersionGC& version_gc() { return *version_gc_; }
-
-  /// Flips snapshot-isolation reads for this database (also settable via
-  /// BF_SNAPSHOT_READS at construction). Flip only between transactions.
-  void SetSnapshotReads(bool on) { txns_.set_snapshot_reads(on); }
-  bool snapshot_reads() const { return txns_.snapshot_reads(); }
 
   /// --- request tracing ---------------------------------------------------
 

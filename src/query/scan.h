@@ -44,10 +44,10 @@ Result<std::vector<std::pair<RowId, Tuple>>> CollectWhere(const Table& table,
 /// latest version. Index probes still run against the latest index state,
 /// so the *full* bound predicate is re-applied to each resolved row (a
 /// probed rid's snapshot version may no longer match the probe key).
-/// Caveat: index entries of rows deleted after view.ts are gone, so an
-/// index-probed snapshot read can miss such rows; heap scans (no usable
-/// index) are exact. This mirrors the engine's long-standing
-/// read-committed-ish scan contract and is documented in DESIGN.md.
+/// Caveat: a delete (or a key-changing update) drops the row's old index
+/// entries when it is installed, not when it commits, so an index-probed
+/// snapshot read misses such a row even while that write is pending;
+/// heap scans (no usable index) are exact. See DESIGN.md.
 Result<ScanPlan> ScanWhereAt(
     const Table& table, const ExprPtr& pred, const mvcc::ReadView& view,
     const std::function<bool(RowId, const Tuple&)>& fn);

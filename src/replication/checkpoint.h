@@ -31,13 +31,12 @@ namespace bullfrog::replication {
 /// their replicated "migrate_start" record arrives. Version 3 is the only
 /// format; older blobs load as Unsupported.
 ///
-/// Capture. There is one capture path, in either read mode: writers
-/// install versions and stamp commit timestamps whether or not
-/// BF_SNAPSHOT_READS is on, and the capture pins its own snapshot. It
-/// holds the controller's switch gate *shared* — client traffic keeps
-/// flowing; only a concurrent logical switch serializes against it — and
-/// scans every table through the MVCC version chains at one snapshot
-/// timestamp T. The barrier pairing T with the embedded wal_offset O:
+/// Capture. The capture pins its own snapshot over the version chains
+/// that every writer installs and every commit stamps. It holds the
+/// controller's switch gate *shared* — client traffic keeps flowing; only
+/// a concurrent logical switch serializes against it — and scans every
+/// table through the MVCC version chains at one snapshot timestamp T.
+/// The barrier pairing T with the embedded wal_offset O:
 ///   1. O = offset_base + redo-log size,
 ///   2. SnapshotManager::WaitForAllocatedCommits() — commit timestamps
 ///      are allocated before the durable append, so every transaction

@@ -44,11 +44,12 @@ struct InsertOutcome {
 /// Versioning. A write installs a new head version rather than updating in
 /// place: pending (commit_ts unset) when issued by a transaction, stamped
 /// at commit; immediately committed for non-transactional callers (bulk
-/// load, replay). The default Read/Scan paths see the head version
-/// regardless of commit state — the engine's historical read-committed-ish
-/// contract — while the *At variants resolve a ReadView against the chain
-/// for snapshot-isolation reads. Undoing a transactional write unlinks its
-/// pending head version (UndoInstall).
+/// load, replay). The plain Read/Scan paths see the head version whatever
+/// its commit state; they serve writers' candidate scans (which lock and
+/// re-read each row before acting), the migrator and log replay. Client
+/// reads use the *At variants, which resolve a ReadView against the chain.
+/// Undoing a transactional write unlinks its pending head version
+/// (UndoInstall).
 ///
 /// Index maintenance is performed inside the physical operations against
 /// the latest version, so index state always matches the head of the heap;

@@ -1,6 +1,5 @@
 #include "txn/lock_manager.h"
 
-#include <algorithm>
 #include <chrono>
 
 #include "common/clock.h"
@@ -16,7 +15,7 @@ void LockManager::BindMetrics(obs::MetricsRegistry* registry) {
   wait_die_kills_ = registry->GetCounter("bullfrog_lock_wait_die_kills_total");
 }
 
-Status LockManager::Acquire(uint64_t txn_id, const LockKey& key, LockMode mode,
+Status LockManager::Acquire(uint64_t txn_id, const LockKey& key,
                             int64_t timeout_ms) {
   Shard& shard = ShardFor(key);
   std::unique_lock lock(shard.mu);
@@ -40,67 +39,20 @@ Status LockManager::Acquire(uint64_t txn_id, const LockKey& key, LockMode mode,
 
   for (;;) {
     LockState& state = shard.locks[key];
-
-    // Already held by self?
-    Holder* self = nullptr;
-    bool blocked = false;        // Some other holder is incompatible.
-    bool others_present = false;
-    // Wait-die: the requester may wait only if it is OLDER (smaller id)
-    // than every blocking holder; if any blocking holder is older, the
-    // requester dies.
-    bool can_wait = true;
-    for (Holder& h : state.holders) {
-      if (h.txn_id == txn_id) {
-        self = &h;
-        continue;
-      }
-      others_present = true;
-      const bool compatible =
-          mode == LockMode::kShared && h.mode == LockMode::kShared;
-      if (!compatible) {
-        blocked = true;
-        if (h.txn_id < txn_id) can_wait = false;
-      }
-    }
-    // An upgrade is blocked by any co-holder, compatible or not.
-    if (self != nullptr && mode == LockMode::kExclusive && others_present) {
-      blocked = true;
-      for (const Holder& h : state.holders) {
-        if (h.txn_id != txn_id && h.txn_id < txn_id) can_wait = false;
-      }
-    }
-
-    if (self != nullptr) {
-      if (self->mode == LockMode::kExclusive || mode == LockMode::kShared) {
-        record_wait();
-        return Status::OK();  // Re-entrant grant.
-      }
-      // Shared -> exclusive upgrade: allowed only as sole holder.
-      if (!others_present) {
-        self->mode = LockMode::kExclusive;
-        record_wait();
-        return Status::OK();
-      }
-      if (!can_wait) {
-        record_wait();
-        if (wait_die_kills_ != nullptr) wait_die_kills_->Inc();
-        return Status::TxnConflict("wait-die: upgrade conflict on lock");
-      }
-    } else if (!blocked &&
-               !(mode == LockMode::kExclusive && others_present)) {
-      state.holders.push_back(Holder{txn_id, mode});
+    if (state.holder == 0 || state.holder == txn_id) {
+      state.holder = txn_id;  // Fresh or re-entrant grant.
       record_wait();
       return Status::OK();
-    } else if (!can_wait) {
-      // Wait-die: the requester is younger (larger id) than some
-      // incompatible holder -> die immediately rather than risk deadlock.
-      if (state.holders.empty() && state.waiters == 0) shard.locks.erase(key);
+    }
+    if (state.holder < txn_id) {
+      // Wait-die: the requester is younger (larger id) than the holder ->
+      // die immediately rather than risk deadlock.
       record_wait();
       if (wait_die_kills_ != nullptr) wait_die_kills_->Inc();
       return Status::TxnConflict("wait-die: younger txn dies");
     }
 
-    // The requester is older than all incompatible holders: wait.
+    // The requester is older than the holder: wait.
     if ((wait_hist_ != nullptr || trace != nullptr) && wait_start_ns < 0) {
       wait_start_ns = Clock::NowNanos();
     }
@@ -111,7 +63,7 @@ Status LockManager::Acquire(uint64_t txn_id, const LockKey& key, LockMode mode,
     auto it = shard.locks.find(key);
     if (it != shard.locks.end()) {
       --it->second.waiters;
-      if (!ok && it->second.holders.empty() && it->second.waiters == 0) {
+      if (!ok && it->second.holder == 0 && it->second.waiters == 0) {
         shard.locks.erase(it);
       }
     }
@@ -128,32 +80,23 @@ void LockManager::ReleaseAll(uint64_t txn_id,
     Shard& shard = ShardFor(key);
     std::lock_guard lock(shard.mu);
     auto it = shard.locks.find(key);
-    if (it == shard.locks.end()) continue;
-    auto& holders = it->second.holders;
-    holders.erase(std::remove_if(holders.begin(), holders.end(),
-                                 [&](const Holder& h) {
-                                   return h.txn_id == txn_id;
-                                 }),
-                  holders.end());
-    if (holders.empty() && it->second.waiters == 0) {
+    // A re-entrant grant lists the key twice; by the second pass another
+    // transaction may hold it.
+    if (it == shard.locks.end() || it->second.holder != txn_id) continue;
+    if (it->second.waiters == 0) {
       shard.locks.erase(it);
+    } else {
+      it->second.holder = 0;
+      shard.cv.notify_all();
     }
-    shard.cv.notify_all();
   }
 }
 
-bool LockManager::Holds(uint64_t txn_id, const LockKey& key,
-                        LockMode mode) const {
+bool LockManager::Holds(uint64_t txn_id, const LockKey& key) const {
   const Shard& shard = ShardFor(key);
   std::lock_guard lock(shard.mu);
   auto it = shard.locks.find(key);
-  if (it == shard.locks.end()) return false;
-  for (const Holder& h : it->second.holders) {
-    if (h.txn_id == txn_id) {
-      return mode == LockMode::kShared || h.mode == LockMode::kExclusive;
-    }
-  }
-  return false;
+  return it != shard.locks.end() && it->second.holder == txn_id;
 }
 
 }  // namespace bullfrog

@@ -36,17 +36,16 @@ struct LockKeyHasher {
   }
 };
 
-enum class LockMode : uint8_t { kShared, kExclusive };
-
-/// A strict two-phase-locking row lock manager with wait-die deadlock
-/// avoidance: a requester older (smaller txn id) than every incompatible
-/// holder waits; a younger requester "dies" (gets kTxnConflict and is
-/// expected to abort and retry). This gives the engine the abort traffic
-/// that exercises BullFrog's §3.5 abort handling under contention.
+/// A strict two-phase-locking exclusive row lock manager with wait-die
+/// deadlock avoidance: a requester older (smaller txn id) than the holder
+/// waits; a younger requester "dies" (gets kTxnConflict and is expected
+/// to abort and retry). This gives the engine the abort traffic that
+/// exercises BullFrog's §3.5 abort handling under contention.
 ///
-/// Sharded: each shard owns a mutex + condvar + lock table. Shared-mode
-/// re-entrancy and shared->exclusive upgrade (when sole holder) are
-/// supported.
+/// Every lock is exclusive: writers and `SELECT ... FOR UPDATE` lock,
+/// plain reads resolve MVCC snapshots and take no lock at all. Sharded:
+/// each shard owns a mutex + condvar + lock table. Re-acquiring a held
+/// lock is a no-op grant.
 class LockManager {
  public:
   explicit LockManager(size_t shards = 64);
@@ -57,14 +56,14 @@ class LockManager {
   /// Blocks until granted, or returns kTxnConflict (wait-die) /
   /// kTimedOut. Granted locks are recorded per transaction and must be
   /// released with ReleaseAll.
-  Status Acquire(uint64_t txn_id, const LockKey& key, LockMode mode,
+  Status Acquire(uint64_t txn_id, const LockKey& key,
                  int64_t timeout_ms = 10000);
 
   /// Releases every lock held by the transaction.
   void ReleaseAll(uint64_t txn_id, const std::vector<LockKey>& keys);
 
-  /// Test hook: true if the txn currently holds the key in >= mode.
-  bool Holds(uint64_t txn_id, const LockKey& key, LockMode mode) const;
+  /// Test hook: true if the txn currently holds the key.
+  bool Holds(uint64_t txn_id, const LockKey& key) const;
 
   /// Attaches observability: a wait-time histogram (recorded only when a
   /// request actually blocks — the uncontended grant path stays free of
@@ -73,12 +72,8 @@ class LockManager {
   void BindMetrics(obs::MetricsRegistry* registry);
 
  private:
-  struct Holder {
-    uint64_t txn_id;
-    LockMode mode;
-  };
   struct LockState {
-    std::vector<Holder> holders;
+    uint64_t holder = 0;  ///< Holding txn id; 0 = free (ids start at 1).
     uint32_t waiters = 0;
   };
   struct Shard {

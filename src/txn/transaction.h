@@ -37,11 +37,6 @@ class Transaction {
   uint64_t id() const { return id_; }
   TxnState state() const { return state_; }
 
-  /// Snapshot timestamp for MVCC reads: the visible clock at Begin,
-  /// pinned against GC while the transaction lives. 0 when the manager
-  /// runs with snapshot reads disabled.
-  uint64_t begin_ts() const { return begin_ts_; }
-
   /// Registers fn to run after a successful commit (in registration order).
   void OnCommit(std::function<void()> fn) {
     commit_hooks_.push_back(std::move(fn));
@@ -66,8 +61,6 @@ class Transaction {
 
   uint64_t id_;
   TxnState state_ = TxnState::kActive;
-  uint64_t begin_ts_ = 0;
-  bool pinned_ = false;  ///< begin_ts_ is pinned in the SnapshotManager.
   std::vector<UndoRecord> undo_;
   std::vector<LockKey> locks_;
   std::vector<LogRecord> redo_;

@@ -2,25 +2,11 @@
 
 #include <cassert>
 
-#include "common/env.h"
-
 namespace bullfrog {
 
-TransactionManager::TransactionManager() {
-  snapshot_reads_.store(EnvInt64("BF_SNAPSHOT_READS", 0) != 0,
-                        std::memory_order_relaxed);
-}
-
 std::unique_ptr<Transaction> TransactionManager::Begin() {
-  const uint64_t id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
-  auto txn = std::make_unique<Transaction>(id);
-  if (snapshot_reads()) {
-    // Pin the begin timestamp so GC cannot reclaim any version this
-    // transaction may still read; released at commit/abort.
-    txn->begin_ts_ = snapshots_.Pin();
-    txn->pinned_ = true;
-  }
-  return txn;
+  return std::make_unique<Transaction>(
+      next_txn_id_.fetch_add(1, std::memory_order_relaxed));
 }
 
 void TransactionManager::BindMetrics(obs::MetricsRegistry* registry) {
@@ -37,10 +23,10 @@ void TransactionManager::BindMetrics(obs::MetricsRegistry* registry) {
   redo_.BindMetrics(registry);
 }
 
-Status TransactionManager::LockRow(Transaction* txn, Table* table, RowId rid,
-                                   LockMode mode) {
+Status TransactionManager::LockRow(Transaction* txn, Table* table,
+                                   RowId rid) {
   LockKey key{table, rid};
-  BF_RETURN_NOT_OK(locks_.Acquire(txn->id(), key, mode));
+  BF_RETURN_NOT_OK(locks_.Acquire(txn->id(), key));
   txn->locks_.push_back(key);
   return Status::OK();
 }
@@ -57,11 +43,12 @@ Result<InsertOutcome> TransactionManager::Insert(Transaction* txn,
 
   // Record the pending version before locking so a failed lock rolls it
   // back; then lock the freshly created row so no concurrent txn can
-  // touch it before we commit. The pending version is visible to latest
-  // (non-snapshot) scans before commit; timestamped snapshots skip it.
+  // touch it before we commit. Before commit the pending version is
+  // visible only to head scans (writers' candidate scans, which then
+  // queue on this lock); snapshot reads skip it.
   txn->undo_.push_back(
       Transaction::UndoRecord{table, outcome->rid, installed});
-  BF_RETURN_NOT_OK(LockRow(txn, table, outcome->rid, LockMode::kExclusive));
+  BF_RETURN_NOT_OK(LockRow(txn, table, outcome->rid));
 
   LogRecord redo;
   redo.op = LogOp::kInsert;
@@ -72,28 +59,17 @@ Result<InsertOutcome> TransactionManager::Insert(Transaction* txn,
   return outcome;
 }
 
-Status TransactionManager::Read(Transaction* txn, Table* table, RowId rid,
-                                Tuple* out, bool for_update) {
+Status TransactionManager::ReadForUpdate(Transaction* txn, Table* table,
+                                         RowId rid, Tuple* out) {
   assert(txn->state() == TxnState::kActive);
-  if (!for_update && snapshot_reads()) {
-    // Lock-free snapshot read: resolve the version chain at the begin
-    // timestamp (plus our own uncommitted writes). A transaction begun
-    // before the mode was flipped on has no pin; it reads the current
-    // visible clock instead.
-    const uint64_t ts =
-        txn->pinned_ ? txn->begin_ts_ : snapshots_.visible();
-    return table->ReadAt(rid, mvcc::ReadView{ts, txn->id()}, out);
-  }
-  BF_RETURN_NOT_OK(LockRow(txn, table, rid,
-                           for_update ? LockMode::kExclusive
-                                      : LockMode::kShared));
+  BF_RETURN_NOT_OK(LockRow(txn, table, rid));
   return table->Read(rid, out);
 }
 
 Status TransactionManager::Update(Transaction* txn, Table* table, RowId rid,
                                   const Tuple& new_row) {
   assert(txn->state() == TxnState::kActive);
-  BF_RETURN_NOT_OK(LockRow(txn, table, rid, LockMode::kExclusive));
+  BF_RETURN_NOT_OK(LockRow(txn, table, rid));
   mvcc::RowVersion* installed = nullptr;
   BF_RETURN_NOT_OK(table->Update(rid, new_row, nullptr, txn->id(),
                                  &installed));
@@ -109,7 +85,7 @@ Status TransactionManager::Update(Transaction* txn, Table* table, RowId rid,
 
 Status TransactionManager::Delete(Transaction* txn, Table* table, RowId rid) {
   assert(txn->state() == TxnState::kActive);
-  BF_RETURN_NOT_OK(LockRow(txn, table, rid, LockMode::kExclusive));
+  BF_RETURN_NOT_OK(LockRow(txn, table, rid));
   mvcc::RowVersion* installed = nullptr;
   BF_RETURN_NOT_OK(table->Delete(rid, nullptr, txn->id(), &installed));
   txn->undo_.push_back(Transaction::UndoRecord{table, rid, installed});
@@ -162,10 +138,6 @@ Status TransactionManager::Commit(Transaction* txn, CommitTicket* ticket) {
     u.version->commit_ts.store(commit_ts, std::memory_order_release);
   }
   snapshots_.PublishCommitTs(commit_ts);
-  if (txn->pinned_) {
-    snapshots_.Unpin(txn->begin_ts_);
-    txn->pinned_ = false;
-  }
   txn->undo_.clear();
   txn->state_ = TxnState::kCommitted;
   locks_.ReleaseAll(txn->id(), txn->locks_);
@@ -195,10 +167,6 @@ void TransactionManager::RollbackActive(Transaction* txn) {
   txn->undo_.clear();
   txn->redo_.clear();
   txn->state_ = TxnState::kAborted;
-  if (txn->pinned_) {
-    snapshots_.Unpin(txn->begin_ts_);
-    txn->pinned_ = false;
-  }
   // §3.5: abort hooks (tracker resets) run after rollback completes but
   // before locks are released, so a waiting worker that observes the reset
   // will also be able to read consistent pre-rollback data.

@@ -22,19 +22,20 @@ namespace bullfrog {
 /// install new row versions (never update in place) and stamp them with a
 /// commit timestamp from the per-database SnapshotManager at commit.
 ///
-/// Isolation contract: writes are serializable per-row (2PL, wait-die).
-/// Reads have two modes:
-///  - 2PL (default): Read takes a shared row lock; full-table scans are
-///    read-committed-ish (they do not lock every row).
-///  - snapshot (`BF_SNAPSHOT_READS=1` or set_snapshot_reads): Read
-///    resolves the row against the transaction's begin timestamp without
-///    any row lock — readers never block writers, never wait-die.
+/// Isolation contract: every write and every ReadForUpdate takes an
+/// exclusive row lock held until commit or abort (strict 2PL, wait-die),
+/// so writes are serializable per row. Plain reads take no lock and do
+/// not come through here: Database::Select resolves the version chains at
+/// a statement-level snapshot (committed data plus the reader's own
+/// writes), so readers never block writers and never wait-die. Each
+/// statement takes a fresh snapshot; repeatable reads across statements
+/// need ReadForUpdate.
 /// Migration transactions use the same machinery as client transactions
 /// (§3.2: "the migration work ... is performed in a series of
 /// transactions").
 class TransactionManager {
  public:
-  TransactionManager();
+  TransactionManager() = default;
 
   TransactionManager(const TransactionManager&) = delete;
   TransactionManager& operator=(const TransactionManager&) = delete;
@@ -52,9 +53,10 @@ class TransactionManager {
                                const Tuple& row,
                                OnConflict policy = OnConflict::kError);
 
-  /// Reads a row under a shared (or, for_update, exclusive) lock.
-  Status Read(Transaction* txn, Table* table, RowId rid, Tuple* out,
-              bool for_update = false);
+  /// Reads a row's head version under an exclusive lock. NotFound if the
+  /// row is gone by the time the lock is granted.
+  Status ReadForUpdate(Transaction* txn, Table* table, RowId rid,
+                       Tuple* out);
 
   /// Updates under an exclusive lock; records the before-image for undo.
   Status Update(Transaction* txn, Table* table, RowId rid,
@@ -88,19 +90,8 @@ class TransactionManager {
   /// manager's wait histogram + wait-die kill counter.
   void BindMetrics(obs::MetricsRegistry* registry);
 
-  LockManager& lock_manager() { return locks_; }
   RedoLog& redo_log() { return redo_; }
   mvcc::SnapshotManager& snapshots() { return snapshots_; }
-
-  /// Snapshot-isolation reads (per-instance so one process can A/B both
-  /// modes). Defaults from BF_SNAPSHOT_READS; flip only while no
-  /// transaction is in flight.
-  bool snapshot_reads() const {
-    return snapshot_reads_.load(std::memory_order_relaxed);
-  }
-  void set_snapshot_reads(bool on) {
-    snapshot_reads_.store(on, std::memory_order_relaxed);
-  }
 
   uint64_t num_started() const {
     return next_txn_id_.load(std::memory_order_relaxed);
@@ -113,7 +104,7 @@ class TransactionManager {
   }
 
  private:
-  Status LockRow(Transaction* txn, Table* table, RowId rid, LockMode mode);
+  Status LockRow(Transaction* txn, Table* table, RowId rid);
   /// Shared rollback machinery: undo in reverse, abort hooks, lock
   /// release. Used by Abort and by Commit when the durable append fails.
   void RollbackActive(Transaction* txn);
@@ -121,7 +112,6 @@ class TransactionManager {
   LockManager locks_;
   RedoLog redo_;
   mvcc::SnapshotManager snapshots_;
-  std::atomic<bool> snapshot_reads_{false};
   std::atomic<uint64_t> next_txn_id_{1};
   std::atomic<uint64_t> committed_{0};
   std::atomic<uint64_t> aborted_{0};

@@ -120,6 +120,64 @@ TEST_F(DatabaseTest, SelectForUpdateBlocksConcurrentWriter) {
   ASSERT_TRUE(db_.Commit(&s1).ok());
 }
 
+// Runs `locked_read` while another thread aborts `writer` 100 ms later,
+// and checks that the read really waited on the writer's lock, so a slow
+// thread start cannot make a test pass without the race it is about.
+template <typename Fn>
+auto WaitOutAbort(Database* db, Database::Session* writer, Fn&& locked_read) {
+  obs::Histogram* waits = db->metrics().GetHistogram(
+      "bullfrog_lock_wait_seconds", "", obs::MetricsRegistry::LatencyBounds());
+  const uint64_t waits_before = waits->count();
+  std::thread abort_later([&] {
+    Clock::SleepMillis(100);
+    EXPECT_TRUE(db->Abort(writer).ok());
+  });
+  auto result = locked_read();
+  abort_later.join();
+  EXPECT_GT(waits->count(), waits_before);
+  return result;
+}
+
+// The reader begins first, so wait-die lets it wait for the younger
+// writer. Its scan finds the writer's pending insert; once the insert is
+// rolled back the row is gone, and the statement skips it.
+TEST_F(DatabaseTest, SelectForUpdateSkipsRowWhosePendingInsertAborted) {
+  auto reader = db_.BeginSession({"users"});
+  auto writer = db_.BeginSession({"users"});
+  ASSERT_TRUE(db_.Insert(&writer, "users",
+                         Tuple{Value::Int(100), Value::Str("pending"),
+                               Value::Int(1)})
+                  .ok());
+  auto rows = WaitOutAbort(&db_, &writer, [&] {
+    return db_.Select(&reader, "users", Eq(Col("id"), LitInt(100)),
+                      /*for_update=*/true);
+  });
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_TRUE(rows->empty());
+  ASSERT_TRUE(db_.Commit(&reader).ok());
+}
+
+// The scan matches the writer's pending age=10; after the rollback the
+// locked re-read sees age=25 again, which no longer matches.
+TEST_F(DatabaseTest, SelectForUpdateRechecksPredicateAfterLockWait) {
+  auto reader = db_.BeginSession({"users"});
+  auto writer = db_.BeginSession({"users"});
+  ASSERT_TRUE(db_.Update(&writer, "users", Eq(Col("id"), LitInt(5)),
+                         [](const Tuple& t) {
+                           Tuple u = t;
+                           u[2] = Value::Int(10);
+                           return u;
+                         })
+                  .ok());
+  auto rows = WaitOutAbort(&db_, &writer, [&] {
+    return db_.Select(&reader, "users", Eq(Col("age"), LitInt(10)),
+                      /*for_update=*/true);
+  });
+  ASSERT_TRUE(rows.ok()) << rows.status();
+  EXPECT_TRUE(rows->empty());
+  ASSERT_TRUE(db_.Commit(&reader).ok());
+}
+
 TEST_F(DatabaseTest, UpdatePredicateRecheckSkipsChangedRows) {
   // A row deleted between scan and lock must be skipped, not crash.
   auto s = db_.BeginSession({"users"});

@@ -132,7 +132,6 @@ void RunWriters(Database* db, int nthreads, int transfers) {
 
 TEST(MvccRaceTest, SnapshotReadersVsTransferWriters) {
   Database db;
-  db.SetSnapshotReads(true);
   SeedAccounts(&db);
   std::atomic<bool> failed{false};
   std::thread writer_group([&] { RunWriters(&db, 4, 150); });
@@ -157,7 +156,6 @@ TEST(MvccRaceTest, SnapshotReadersVsVersionGc) {
   ::setenv("BF_MVCC_GC_MS", "1", 1);
   Database db;
   ::unsetenv("BF_MVCC_GC_MS");
-  db.SetSnapshotReads(true);
   SeedAccounts(&db);
   std::atomic<bool> failed{false};
   std::thread writer_group([&] { RunWriters(&db, 3, 150); });
@@ -169,7 +167,6 @@ TEST(MvccRaceTest, SnapshotReadersVsVersionGc) {
 
 TEST(MvccRaceTest, SnapshotReadersVsLiveLazyMigration) {
   Database db;
-  db.SetSnapshotReads(true);
   sql::SqlEngine engine(&db);
   {
     auto r = engine.Execute(
@@ -228,7 +225,6 @@ TEST(MvccRaceTest, SnapshotReadersVsLiveLazyMigration) {
 
 TEST(MvccRaceTest, SnapshotReadersVsMultiStepCopier) {
   Database db;
-  db.SetSnapshotReads(true);
   sql::SqlEngine engine(&db);
   {
     auto r = engine.Execute(

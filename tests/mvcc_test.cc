@@ -4,8 +4,7 @@
 // against the min-pinned-snapshot watermark, WAL replay rebuilding the
 // same visible state, and the acceptance-critical quiesce-free
 // checkpoint: a consistent snapshot captured — and restored, and
-// converged — while a lazy migration is still in flight, in both read
-// modes.
+// converged — while a lazy migration is still in flight.
 
 #include <string>
 #include <vector>
@@ -29,7 +28,6 @@ void MustExec(sql::SqlEngine* engine, const std::string& stmt) {
 class MvccTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    db_.SetSnapshotReads(true);
     ASSERT_TRUE(db_.CreateTable(SchemaBuilder("users")
                                     .AddColumn("id", ValueType::kInt64, false)
                                     .AddColumn("name", ValueType::kString)
@@ -245,7 +243,6 @@ TEST_F(MvccTest, PinnedSnapshotSurvivesGc) {
 // own snapshot reads work over the rebuilt chains.
 TEST(MvccRecoveryTest, ReplayRebuildsVisibleState) {
   Database a;
-  a.SetSnapshotReads(true);
   sql::SqlEngine engine(&a);
   MustExec(&engine,
            "CREATE TABLE kv (id INT PRIMARY KEY, score DOUBLE, name TEXT)");
@@ -261,7 +258,6 @@ TEST(MvccRecoveryTest, ReplayRebuildsVisibleState) {
   a.txns().redo_log().ReadFrom(0, SIZE_MAX, &records);
 
   Database b;
-  b.SetSnapshotReads(true);
   replication::LogApplier applier(&b, /*append_to_local_log=*/true);
   ASSERT_TRUE(applier.Apply(std::move(records)).ok());
 
@@ -273,23 +269,12 @@ TEST(MvccRecoveryTest, ReplayRebuildsVisibleState) {
   ASSERT_TRUE(b.Commit(&s).ok());
 }
 
-// The checkpoint capture reads through the version chains at its own
-// pinned snapshot, so it must behave identically whichever read mode the
-// sessions use. The parameter is Database::SetSnapshotReads.
-class MvccCheckpointTest : public ::testing::TestWithParam<bool> {};
-
-INSTANTIATE_TEST_SUITE_P(ReadModes, MvccCheckpointTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "SnapshotReads" : "LockingReads";
-                         });
-
 // The acceptance-critical path: a checkpoint captured in the middle of a
 // live lazy migration succeeds (no kBusy, no quiesce), embeds the
 // migration, and a node restored from that blob plus the WAL suffix
 // re-owns the migration and converges with the primary.
-TEST_P(MvccCheckpointTest, QuiesceFreeCheckpointDuringMigration) {
+TEST(MvccCheckpointTest, QuiesceFreeCheckpointDuringMigration) {
   Database a;
-  a.SetSnapshotReads(GetParam());
   sql::SqlEngine engine(&a);
   MustExec(&engine,
            "CREATE TABLE kv (id INT PRIMARY KEY, score DOUBLE, name TEXT)");
@@ -326,7 +311,6 @@ TEST_P(MvccCheckpointTest, QuiesceFreeCheckpointDuringMigration) {
 
   uint64_t wal_offset = 0;
   Database b;
-  b.SetSnapshotReads(GetParam());
   ASSERT_TRUE(replication::LoadCheckpoint(&b, blob, &wal_offset).ok());
   EXPECT_TRUE(b.controller().HasActiveMigration());
   EXPECT_FALSE(b.controller().IsComplete());
@@ -375,9 +359,8 @@ TEST_P(MvccCheckpointTest, QuiesceFreeCheckpointDuringMigration) {
 // A restored migration re-migrates the granules marked below the
 // checkpoint offset and relies on a unique key on each output table to
 // discard the copies, so a keyless output defers the capture.
-TEST_P(MvccCheckpointTest, KeylessOutputDefersCheckpoint) {
+TEST(MvccCheckpointTest, KeylessOutputDefersCheckpoint) {
   Database a;
-  a.SetSnapshotReads(GetParam());
   sql::SqlEngine engine(&a);
   MustExec(&engine, "CREATE TABLE kv (id INT PRIMARY KEY, name TEXT)");
   MustExec(&engine, "INSERT INTO kv VALUES (1, 'one')");
@@ -396,9 +379,8 @@ TEST_P(MvccCheckpointTest, KeylessOutputDefersCheckpoint) {
 
 // Without an active migration the capture is exercised by the plain
 // round-trip: the blob restores tables, rids, and row content.
-TEST_P(MvccCheckpointTest, SnapshotCaptureRoundTripsWithoutMigration) {
+TEST(MvccCheckpointTest, SnapshotCaptureRoundTripsWithoutMigration) {
   Database a;
-  a.SetSnapshotReads(GetParam());
   sql::SqlEngine engine(&a);
   MustExec(&engine, "CREATE TABLE t (id INT PRIMARY KEY, v TEXT)");
   for (int i = 0; i < 25; ++i) {

@@ -1,3 +1,5 @@
+#include <algorithm>
+
 #include <gtest/gtest.h>
 
 #include "common/clock.h"
@@ -109,6 +111,49 @@ TEST_F(SqlEngineTest, ExplicitTransactionCommitAndRollback) {
   Exec("INSERT INTO users VALUES (6, 'fay', 31)");
   Exec("ROLLBACK");
   EXPECT_EQ(Exec("SELECT * FROM users WHERE id = 6").rows.size(), 0u);
+}
+
+// Renders rows as "id:name:age" strings, sorted so a comparison does not
+// depend on scan order.
+std::vector<std::string> Render(const SqlEngine::QueryResult& r) {
+  std::vector<std::string> out;
+  for (const Tuple& row : r.rows) {
+    out.push_back(row[0].ToString() + ":" + row[1].AsString() + ":" +
+                  row[2].ToString());
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+// A plain SELECT reads a snapshot of committed rows: another session's
+// uncommitted UPDATE, INSERT and DELETE stay invisible, a rollback leaves
+// no trace, and a commit makes all three visible together.
+TEST_F(SqlEngineTest, OtherSessionSeesOnlyCommittedWrites) {
+  SqlEngine other(&db_);
+  auto other_sees = [&] {
+    auto r = other.Execute("SELECT * FROM users");
+    EXPECT_TRUE(r.ok()) << r.status();
+    return r.ok() ? Render(*r) : std::vector<std::string>{};
+  };
+  const std::vector<std::string> original = {"1:ada:36", "2:bob:41",
+                                             "3:cyd:28"};
+  auto write_all = [&] {
+    Exec("BEGIN");
+    Exec("UPDATE users SET age = 99 WHERE id = 1");
+    Exec("INSERT INTO users VALUES (4, 'dee', 50)");
+    Exec("DELETE FROM users WHERE id = 3");
+  };
+
+  write_all();
+  EXPECT_EQ(other_sees(), original);
+  Exec("ROLLBACK");
+  EXPECT_EQ(other_sees(), original);
+
+  write_all();
+  EXPECT_EQ(other_sees(), original);
+  Exec("COMMIT");
+  EXPECT_EQ(other_sees(),
+            (std::vector<std::string>{"1:ada:99", "2:bob:41", "4:dee:50"}));
 }
 
 TEST_F(SqlEngineTest, TransactionStateErrors) {

@@ -27,34 +27,23 @@ TableSchema TestSchema() {
 
 Tuple Row(int64_t id, int64_t v) { return Tuple{Value::Int(id), Value::Int(v)}; }
 
-TEST(LockManagerTest, SharedLocksCoexist) {
-  LockManager lm;
-  LockKey key{&lm, 1};
-  EXPECT_TRUE(lm.Acquire(1, key, LockMode::kShared).ok());
-  EXPECT_TRUE(lm.Acquire(2, key, LockMode::kShared).ok());
-  EXPECT_TRUE(lm.Holds(1, key, LockMode::kShared));
-  EXPECT_TRUE(lm.Holds(2, key, LockMode::kShared));
-  lm.ReleaseAll(1, {key});
-  lm.ReleaseAll(2, {key});
-}
-
 TEST(LockManagerTest, ExclusiveExcludesYounger) {
   LockManager lm;
   LockKey key{&lm, 1};
-  ASSERT_TRUE(lm.Acquire(1, key, LockMode::kExclusive).ok());
+  ASSERT_TRUE(lm.Acquire(1, key).ok());
   // Wait-die: txn 2 is younger than holder 1 -> dies immediately.
-  EXPECT_TRUE(lm.Acquire(2, key, LockMode::kShared).IsTxnConflict());
+  EXPECT_TRUE(lm.Acquire(2, key).IsTxnConflict());
   lm.ReleaseAll(1, {key});
 }
 
 TEST(LockManagerTest, OlderWaitsForRelease) {
   LockManager lm;
   LockKey key{&lm, 1};
-  ASSERT_TRUE(lm.Acquire(5, key, LockMode::kExclusive).ok());
+  ASSERT_TRUE(lm.Acquire(5, key).ok());
   std::atomic<bool> acquired{false};
   std::thread waiter([&] {
     // Txn 3 is older than holder 5 -> waits.
-    EXPECT_TRUE(lm.Acquire(3, key, LockMode::kExclusive, 5000).ok());
+    EXPECT_TRUE(lm.Acquire(3, key, 5000).ok());
     acquired.store(true);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(50));
@@ -65,26 +54,30 @@ TEST(LockManagerTest, OlderWaitsForRelease) {
   lm.ReleaseAll(3, {key});
 }
 
-TEST(LockManagerTest, ReentrantAndUpgrade) {
+TEST(LockManagerTest, Reentrant) {
   LockManager lm;
   LockKey key{&lm, 9};
-  ASSERT_TRUE(lm.Acquire(1, key, LockMode::kShared).ok());
-  ASSERT_TRUE(lm.Acquire(1, key, LockMode::kShared).ok());
-  // Sole holder upgrade.
-  ASSERT_TRUE(lm.Acquire(1, key, LockMode::kExclusive).ok());
-  EXPECT_TRUE(lm.Holds(1, key, LockMode::kExclusive));
-  // Exclusive holder may re-acquire shared.
-  EXPECT_TRUE(lm.Acquire(1, key, LockMode::kShared).ok());
+  ASSERT_TRUE(lm.Acquire(1, key).ok());
+  ASSERT_TRUE(lm.Acquire(1, key).ok());
+  EXPECT_TRUE(lm.Holds(1, key));
+  // The re-entrant grant lists the key twice. Once the first entry has
+  // released it, another transaction may take the lock; the duplicate
+  // entry must not release that transaction's lock.
   lm.ReleaseAll(1, {key});
-  EXPECT_FALSE(lm.Holds(1, key, LockMode::kShared));
+  EXPECT_FALSE(lm.Holds(1, key));
+  ASSERT_TRUE(lm.Acquire(2, key).ok());
+  lm.ReleaseAll(1, {key});
+  EXPECT_TRUE(lm.Holds(2, key));
+  lm.ReleaseAll(2, {key});
+  EXPECT_FALSE(lm.Holds(2, key));
 }
 
 TEST(LockManagerTest, TimeoutExpires) {
   LockManager lm;
   LockKey key{&lm, 2};
-  ASSERT_TRUE(lm.Acquire(10, key, LockMode::kExclusive).ok());
+  ASSERT_TRUE(lm.Acquire(10, key).ok());
   // Older txn 5 waits but times out.
-  EXPECT_TRUE(lm.Acquire(5, key, LockMode::kExclusive, 100).code() ==
+  EXPECT_TRUE(lm.Acquire(5, key, 100).code() ==
               StatusCode::kTimedOut);
   lm.ReleaseAll(10, {key});
 }
@@ -98,7 +91,7 @@ TEST(LockManagerTest, NoLostWakeupsUnderContention) {
   // Older transactions (small ids) wait; this must always drain.
   for (uint64_t id = 1; id <= 8; ++id) {
     threads.emplace_back([&, id] {
-      Status s = lm.Acquire(id, key, LockMode::kExclusive, 10000);
+      Status s = lm.Acquire(id, key, 10000);
       if (!s.ok()) return;
       EXPECT_EQ(in_critical.fetch_add(1), 0);
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
@@ -196,7 +189,7 @@ TEST(TxnManagerTest, WriteConflictTriggersWaitDie) {
   // Younger writer dies immediately.
   Tuple row;
   EXPECT_TRUE(
-      tm.Read(younger.get(), &table, a->rid, &row, true).IsTxnConflict());
+      tm.ReadForUpdate(younger.get(), &table, a->rid, &row).IsTxnConflict());
   ASSERT_TRUE(tm.Abort(younger.get()).ok());
   ASSERT_TRUE(tm.Commit(older.get()).ok());
 }
@@ -250,8 +243,8 @@ TEST(TxnManagerTest, ConcurrentTransfersPreserveInvariant) {
         const RowId to = (from + 1 + rng.Uniform(kAccounts - 1)) % kAccounts;
         auto txn = tm.Begin();
         Tuple a, b;
-        Status s = tm.Read(txn.get(), &table, from, &a, true);
-        if (s.ok()) s = tm.Read(txn.get(), &table, to, &b, true);
+        Status s = tm.ReadForUpdate(txn.get(), &table, from, &a);
+        if (s.ok()) s = tm.ReadForUpdate(txn.get(), &table, to, &b);
         if (s.ok()) {
           s = tm.Update(txn.get(), &table, from,
                         Row(a[0].AsInt(), a[1].AsInt() - 1));
