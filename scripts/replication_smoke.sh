@@ -5,9 +5,11 @@
 # on the primary while the replica tails the log, then requires
 #   1. the replica rejects writes with the read-only error,
 #   2. the replica's ADMIN dump converges to the primary's (byte equal),
-#   3. both daemons' ADMIN metrics scrapes expose replication health
+#   3. the primary's redo log retains nothing below the replica's
+#      bootstrap offset (ADMIN offset retained_from),
+#   4. both daemons' ADMIN metrics scrapes expose replication health
 #      (apply lag gauge, read-through counter, migration unit counters),
-#   4. both daemons exit 0 on SIGTERM.
+#   5. both daemons exit 0 on SIGTERM.
 # A second leg then checks checkpoint-corruption recovery on a durable
 # (--data-dir) daemon: write, checkpoint, write more, stop, plant a
 # garbage "newest" checkpoint, restart — all rows must survive and the
@@ -38,6 +40,10 @@ shell_run "$PADDR" <<'SQL'
 CREATE TABLE accounts (id INT PRIMARY KEY, balance INT);
 INSERT INTO accounts VALUES (1, 100), (2, 200), (3, 300), (4, 400);
 SQL
+# Nothing is written between here and the bootstrap, so this is the
+# offset the replica's checkpoint covers.
+log_bounds "$PADDR"
+BOOT_OFFSET=$OFFSET
 
 start_daemon "$(mktemp /tmp/bullfrog_replica.XXXXXX.log)" --port=0 \
   --workers=8 --replica-of="$PADDR"
@@ -85,6 +91,17 @@ poll 300 progress_complete "$PADDR" ||
   { echo "migration never completed on primary"; exit 1; }
 poll 300 replica_caught_up "$RADDR" || { echo "replica never caught up"; exit 1; }
 run_sql "$RADDR" ".admin replication"
+
+# Retention: the replica's lease pins the primary's log at or past the
+# bootstrap offset, so the seed rows below it are no longer held.
+log_bounds "$PADDR"
+if [[ $BOOT_OFFSET -eq 0 || $RETAINED_FROM -lt $BOOT_OFFSET ]]; then
+  echo "primary retains records below the replica's bootstrap offset:" \
+    "bootstrap=$BOOT_OFFSET retained_from=$RETAINED_FROM offset=$OFFSET"
+  exit 1
+fi
+echo "redo-log retention OK (bootstrap=$BOOT_OFFSET" \
+  "retained_from=$RETAINED_FROM offset=$OFFSET)"
 
 # Byte-identical logical state on both sides.
 dumps_match "$PADDR" "$RADDR" || { echo "primary/replica dumps diverged"; exit 1; }

@@ -3,7 +3,8 @@
 # bullfrog_serverd on an ephemeral loopback port, runs the full
 # server_e2e_test suite against it over the wire (BF_SERVER_ADDR mode:
 # concurrent clients, live lazy migration via MIGRATE, ADMIN progress
-# polling, error paths), scrapes the request-tracing surfaces (ADMIN
+# polling, error paths), checks that the redo log retains nothing with no
+# replica (ADMIN offset), scrapes the request-tracing surfaces (ADMIN
 # slowlog / timeseries, sampled via BF_TRACE_SAMPLE=1), then SIGTERMs
 # the daemon and requires a clean exit. A second, durable-mode leg
 # (BF_WAL_FSYNC=1, --data-dir) streams single-row INSERTs through the
@@ -39,6 +40,16 @@ require_all "ADMIN metrics scrape" "$(run_sql "$ADDR" ".metrics")" \
   'bullfrog_migration_units_migrated{mode="lazy"}' \
   bullfrog_lock_wait_seconds_count
 echo "ADMIN metrics scrape OK"
+
+# Retention: with no replica nothing pins the redo log, so after the
+# workload the primary holds no records: retained_from equals offset.
+log_bounds "$ADDR"
+if [[ $RETAINED_FROM != "$OFFSET" ]]; then
+  echo "primary without a replica retains log records:" \
+    "offset=$OFFSET retained_from=$RETAINED_FROM"
+  exit 1
+fi
+echo "redo-log retention OK (offset=$OFFSET retained_from=$RETAINED_FROM)"
 
 # Tracing surfaces: with BF_TRACE_SAMPLE=1 every e2e statement was
 # traced, so the slowlog must hold span breakdowns with trace ids, and

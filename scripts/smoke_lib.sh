@@ -100,6 +100,20 @@ poll() { # TRIES CMD...
 progress_complete() { run_sql "$1" ".progress" | grep -q "(complete)"; }
 replica_caught_up() { run_sql "$1" ".admin replication" | grep -q "behind=0"; }
 
+# Reads ADMIN offset ("offset=<end LSN> retained_from=<base LSN>") and
+# sets OFFSET and RETAINED_FROM: the redo log holds [RETAINED_FROM,
+# OFFSET) in memory.
+log_bounds() { # ADDR
+  local line
+  line=$(run_sql "$1" ".admin offset")
+  OFFSET=$(sed -nE 's/^offset=([0-9]+) retained_from=[0-9]+.*/\1/p' <<<"$line")
+  RETAINED_FROM=$(sed -nE 's/^offset=[0-9]+ retained_from=([0-9]+).*/\1/p' <<<"$line")
+  if [[ -z $OFFSET || -z $RETAINED_FROM ]]; then
+    echo "unparseable ADMIN offset line: $line"
+    return 1
+  fi
+}
+
 # Byte-compares the ADMIN dumps of two daemons (diff printed on mismatch).
 # The first daemon's dump stays in $DUMP_A for the caller to inspect.
 DUMP_A="$SMOKE_TMP/dump_a.txt"

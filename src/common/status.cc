@@ -32,6 +32,8 @@ std::string_view StatusCodeName(StatusCode code) {
       return "Unavailable";
     case StatusCode::kQueued:
       return "Queued";
+    case StatusCode::kTrimmed:
+      return "Trimmed";
   }
   return "Unknown";
 }

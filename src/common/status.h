@@ -32,6 +32,9 @@ enum class StatusCode : uint8_t {
   /// WILL happen — but not kOk either: the logical switch has not
   /// occurred when the caller sees this.
   kQueued,
+  /// The redo-log records asked for were dropped: nothing retained them
+  /// (see RedoLog). A replica whose cursor is trimmed must re-bootstrap.
+  kTrimmed,
 };
 
 /// Returns a stable human-readable name for a StatusCode.
@@ -95,6 +98,9 @@ class Status {
   static Status Queued(std::string msg) {
     return Status(StatusCode::kQueued, std::move(msg));
   }
+  static Status Trimmed(std::string msg) {
+    return Status(StatusCode::kTrimmed, std::move(msg));
+  }
 
   bool ok() const { return code_ == StatusCode::kOk; }
   StatusCode code() const { return code_; }
@@ -110,6 +116,7 @@ class Status {
   bool IsTxnConflict() const { return code_ == StatusCode::kTxnConflict; }
   bool IsUnavailable() const { return code_ == StatusCode::kUnavailable; }
   bool IsQueued() const { return code_ == StatusCode::kQueued; }
+  bool IsTrimmed() const { return code_ == StatusCode::kTrimmed; }
   /// True for the transient failures a client is expected to retry
   /// (deadlock-avoidance aborts and lock conflicts).
   bool IsRetryable() const { return IsTxnAborted() || IsTxnConflict(); }

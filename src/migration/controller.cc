@@ -376,10 +376,16 @@ Status MigrationController::SubmitEntry(PendingMigration e) {
   }
   // Tear down pruned migrations' machinery outside the lock (Stop joins
   // worker threads). Readers still holding a snapshot keep the state
-  // alive until they are done.
+  // alive until they are done. Their trackers' marks are no longer
+  // needed for recovery.
   for (auto& state : torn_down) {
     if (state->background != nullptr) state->background->Stop();
     if (state->multistep != nullptr) state->multistep->Stop();
+    for (const auto& m : state->stmt_migrators) {
+      if (m->tracker() != nullptr) {
+        txns_->redo_log().DropMarks(m->tracker()->id());
+      }
+    }
   }
   torn_down.clear();
   return StartReserved(std::move(e), /*from_queue=*/false);
@@ -976,7 +982,9 @@ bool MigrationController::UsesNewSchema() const { return !MultiStepActive(); }
 bool MigrationController::IsComplete() const {
   if (!active_.load(std::memory_order_acquire)) return true;
   std::lock_guard lock(mu_);
-  if (!queue_.empty()) return false;
+  // A reserved entry is between the queue (or a Submit) and states_:
+  // its switch has not run yet.
+  if (!queue_.empty() || !reservations_.empty()) return false;
   for (const auto& s : states_) {
     if (!s->complete.load(std::memory_order_acquire)) return false;
   }
@@ -1373,8 +1381,8 @@ Status MigrationController::RecoverFromRedoLog() {
     rebuilt.push_back(std::move(fresh));
   }
 
-  // Replay committed migration marks from the redo log (one pass covers
-  // every rebuilt entry's trackers).
+  // Re-apply the committed migration marks the redo log keeps for every
+  // rebuilt entry's trackers.
   RecoverTrackerState(txns_->redo_log(), targets);
 
   {

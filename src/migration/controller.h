@@ -204,7 +204,8 @@ class MigrationController {
   }
   /// False only between a multi-step Submit and its cutover.
   bool UsesNewSchema() const;
-  /// True when every train entry has completed and nothing is queued.
+  /// True when every train entry has completed and nothing is queued or
+  /// being started.
   bool IsComplete() const;
   /// Mean progress over the incomplete train entries (queued entries
   /// count as 0); 1.0 when nothing is in flight.

@@ -29,11 +29,9 @@ namespace bullfrog::replication {
 class LogApplier {
  public:
   /// `append_to_local_log`: when true every consumed batch is also
-  /// AppendRaw'd into db->txns().redo_log(), so the replica's own log is
-  /// a byte-equal suffix of the primary's (offsets line up, and the
-  /// replica can itself be checkpointed or recovered). Restart replay
-  /// from local WAL segments passes false — the records already flow into
-  /// the log through the segment loader.
+  /// AppendRaw'd into db->txns().redo_log(), so the local log continues
+  /// the source's LSNs and keeps its committed migration marks (tracker
+  /// recovery after a replica promotion or a restart reads them).
   explicit LogApplier(Database* db, bool append_to_local_log)
       : db_(db), append_to_local_log_(append_to_local_log) {}
 

@@ -82,19 +82,34 @@ void EncodeTables(std::string* out, Database* db, const mvcc::ReadView& view) {
   for (const std::string& b : blobs) out->append(b);
 }
 
+/// Reads the magic, the version and the covered offset.
+Status ReadHeader(codec::ByteReader* reader, uint64_t* wal_offset) {
+  char magic[4];
+  if (!reader->GetBytes(magic, sizeof(magic)) ||
+      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+    return Status::InvalidArgument("not a checkpoint blob (bad magic)");
+  }
+  uint32_t version;
+  if (!reader->GetU32(&version) || version != kVersion) {
+    return Status::Unsupported("unsupported checkpoint version");
+  }
+  if (!reader->GetU64(wal_offset)) {
+    return Status::InvalidArgument("truncated checkpoint header");
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 // See checkpoint.h for the O/T barrier argument.
-Status CaptureCheckpoint(Database* db, std::string* out,
-                         uint64_t offset_base) {
+Status CaptureCheckpoint(Database* db, std::string* out) {
   // Shared switch gate: a racing Submit serializes against us; client
   // requests (which also hold it shared) keep flowing.
   auto guard = db->controller().GuardTables({});
   std::vector<MigrationController::CheckpointMigration> train;
   Status d = db->controller().DescribeTrainForCheckpoint(&train);
   if (!d.ok() && !d.IsNotFound()) return d;  // Busy: see controller.h.
-  const uint64_t wal_offset =
-      offset_base + db->txns().redo_log().size();
+  const uint64_t wal_offset = db->txns().redo_log().size();
   db->txns().snapshots().WaitForAllocatedCommits();
   mvcc::SnapshotManager::PinGuard pin(&db->txns().snapshots());
   const mvcc::ReadView view{pin.ts(), /*txn=*/0};
@@ -124,26 +139,26 @@ Status CaptureCheckpoint(Database* db, std::string* out,
   return Status::OK();
 }
 
+Result<uint64_t> CheckpointOffset(const std::string& blob) {
+  codec::ByteReader reader(blob);
+  uint64_t wal_offset = 0;
+  BF_RETURN_NOT_OK(ReadHeader(&reader, &wal_offset));
+  return wal_offset;
+}
+
 Status LoadCheckpoint(Database* db, const std::string& blob,
                       uint64_t* wal_offset) {
   codec::ByteReader reader(blob);
-  char magic[4];
-  if (!reader.GetBytes(magic, sizeof(magic)) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Status::InvalidArgument("not a checkpoint blob (bad magic)");
-  }
-  uint32_t version;
-  if (!reader.GetU32(&version) || version != kVersion) {
-    return Status::Unsupported("unsupported checkpoint version");
-  }
+  BF_RETURN_NOT_OK(ReadHeader(&reader, wal_offset));
   // The snapshot_ts field is informational: the restore needs only the
   // covered offset.
   uint64_t snapshot_ts;
   uint32_t ntables;
-  if (!reader.GetU64(wal_offset) || !reader.GetU64(&snapshot_ts) ||
-      !reader.GetU32(&ntables)) {
+  if (!reader.GetU64(&snapshot_ts) || !reader.GetU32(&ntables)) {
     return Status::InvalidArgument("truncated checkpoint header");
   }
+  // The restored node's log continues the primary's LSN space.
+  BF_RETURN_NOT_OK(db->txns().redo_log().StartAt(*wal_offset));
   for (uint32_t i = 0; i < ntables; ++i) {
     std::string name;
     uint8_t state;

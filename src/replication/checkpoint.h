@@ -4,6 +4,7 @@
 #include <string>
 
 #include "bullfrog/database.h"
+#include "common/result.h"
 #include "common/status.h"
 
 namespace bullfrog::replication {
@@ -37,7 +38,7 @@ namespace bullfrog::replication {
 /// a concurrent logical switch serializes against it — and scans every
 /// table through the MVCC version chains at one snapshot timestamp T.
 /// The barrier pairing T with the embedded wal_offset O:
-///   1. O = offset_base + redo-log size,
+///   1. O = the redo log's end LSN,
 ///   2. SnapshotManager::WaitForAllocatedCommits() — commit timestamps
 ///      are allocated before the durable append, so every transaction
 ///      with records below O has published once this returns,
@@ -57,22 +58,21 @@ namespace bullfrog::replication {
 /// publishing `complete` and dropping its retired inputs, or during the
 /// table scan (the train is described again after it).
 ///
-/// `offset_base` shifts the embedded wal_offset: the in-memory redo log
-/// holds only the records since the last restart, so a WalDir whose
-/// segment names live in the global offset space passes its base; the
-/// wire path (REPLICATE subop 1) passes 0 because the tail stream serves
-/// from the same in-memory log.
-Status CaptureCheckpoint(Database* db, std::string* out,
-                         uint64_t offset_base = 0);
+Status CaptureCheckpoint(Database* db, std::string* out);
+
+/// The wal_offset a checkpoint blob covers (its header only).
+Result<uint64_t> CheckpointOffset(const std::string& blob);
 
 /// Restores a checkpoint into an empty database (tables it names must not
 /// exist). Writes nothing to the redo log — checkpointed rows precede the
-/// covered offset by construction. When the blob embeds a live migration,
-/// it is re-submitted against the restored (already-switched) catalog
-/// with replicated_replay + resume_after_switch; a primary restart then
-/// takes ownership via RecoverFromRedoLog, a replica keeps forwarding
-/// reads until the replicated completion arrives. Returns the embedded
-/// wal_offset.
+/// covered offset by construction — but starts it at the covered offset
+/// (RedoLog::StartAt), so records appended next carry the LSNs they had
+/// on the node that took the checkpoint. When the blob embeds a live
+/// migration, it is re-submitted against the restored (already-switched)
+/// catalog with replicated_replay + resume_after_switch; a primary
+/// restart then takes ownership via RecoverFromRedoLog, a replica keeps
+/// forwarding reads until the replicated completion arrives. Returns the
+/// embedded wal_offset.
 Status LoadCheckpoint(Database* db, const std::string& blob,
                       uint64_t* wal_offset);
 

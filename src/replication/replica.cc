@@ -17,8 +17,9 @@ namespace bullfrog::replication {
 Replica::Replica(Database* db, ReplicaOptions options)
     : db_(db),
       options_(std::move(options)),
-      // The local redo log mirrors the primary's suffix so the replica's
-      // own offset space lines up with the stream's.
+      // The local redo log continues the primary's LSNs (LoadCheckpoint
+      // starts it at the bootstrap offset) and collects the shipped
+      // migration marks, so a promoted replica can rebuild its trackers.
       applier_(db, /*append_to_local_log=*/true) {
   obs::MetricsRegistry& m = db_->metrics();
   applied_gauge_ = m.GetGauge("bullfrog_replica_applied_records");
@@ -135,6 +136,12 @@ void Replica::ApplyLoop() {
       {
         std::lock_guard lock(mu_);
         last_error_ = payload.status().message();
+        if (payload.status().IsTrimmed()) {
+          // The primary no longer holds our cursor (we were away longer
+          // than its lease): no retry can close the gap.
+          phase_ = "re-bootstrap required";
+          return;
+        }
       }
       // Transport errors close the client; anything else (a server-side
       // error status) is worth a pause before retrying too.

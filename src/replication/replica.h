@@ -125,7 +125,8 @@ class Replica {
   /// Lifecycle phase for the status line: "init" before Start,
   /// "bootstrapping ..." (with attempt count and the primary's last
   /// answer) while fetching the checkpoint, "streaming" once the apply
-  /// loop is up.
+  /// loop is up, "re-bootstrap required" once the primary answered a
+  /// tail with kTrimmed (the apply loop has stopped).
   std::string phase_ = "init";
 
   /// Serializes forwarded reads; each uses its own short-lived client

@@ -125,7 +125,7 @@ Status WalDir::Open(const std::string& dir) {
   return Status::OK();
 }
 
-Status WalDir::Recover(Database* db) {
+Status WalDir::Recover(Database* db, int64_t lease_ms) {
   if (dir_.empty()) return Status::InvalidArgument("WalDir not opened");
 
   // Checkpoints newest-first; a corrupt or unreadable blob falls back to
@@ -134,7 +134,7 @@ Status WalDir::Recover(Database* db) {
   // candidate blob is validated against a scratch Database first — a
   // blob that dies halfway must not leave `db` half-populated.
   const auto ckpts = ListNumbered(dir_, kCkptPrefix, kCkptSuffix);
-  base_ = 0;
+  uint64_t base = 0;
   bool loaded = false;
   for (size_t i = ckpts.size(); i-- > 0 && !loaded;) {
     const fs::path& path = ckpts[i].second;
@@ -153,7 +153,7 @@ Status WalDir::Recover(Database* db) {
     }
     uint64_t offset = 0;
     BF_RETURN_NOT_OK(LoadCheckpoint(db, blob, &offset));
-    base_ = offset;
+    base = offset;
     loaded = true;
     if (i + 1 < ckpts.size()) {
       std::fprintf(stderr,
@@ -169,36 +169,39 @@ Status WalDir::Recover(Database* db) {
                  ckpts.size());
   }
 
-  // The fallback is only sound if the WAL still covers [base_, head):
+  // The fallback is only sound if the WAL still covers [base, head):
   // GC against a (now unusable) newer checkpoint may have removed the
   // prefix, in which case replay would silently lose those records.
-  {
-    const auto segments = ListNumbered(dir_, kSegmentPrefix, kSegmentSuffix);
-    if (!segments.empty() && segments[0].first > base_) {
-      return Status::Internal(
-          "WAL starts at offset " + std::to_string(segments[0].first) +
-          " but recovery needs offset " + std::to_string(base_) +
-          " (records were garbage-collected against a checkpoint that "
-          "failed to load) — unrecoverable");
-    }
+  const auto segments = ListNumbered(dir_, kSegmentPrefix, kSegmentSuffix);
+  if (!segments.empty() && segments[0].first > base) {
+    return Status::Internal(
+        "WAL starts at offset " + std::to_string(segments[0].first) +
+        " but recovery needs offset " + std::to_string(base) +
+        " (records were garbage-collected against a checkpoint that "
+        "failed to load) — unrecoverable");
   }
 
   // Replay segments past the checkpoint. Records also flow into the
-  // in-memory redo log (AppendRaw — no sink is attached yet), so after
-  // recovery global offset = base_ + in-memory index, and downstream
-  // consumers (tracker recovery, replication tails) see the real suffix.
+  // in-memory redo log (AppendRaw — no sink is attached yet) at their
+  // own LSNs (LoadCheckpoint started the log at the checkpoint's), so
+  // tracker recovery sees the suffix's committed marks. The lease keeps
+  // the replayed suffix readable for a replica that resumes from its
+  // cursor after this restart.
+  if (lease_ms > 0 && (loaded || !segments.empty())) {
+    RedoLog& log = db->txns().redo_log();
+    log.Lease(log.NewLeaseHolder(), base, lease_ms);
+  }
   LogApplier applier(db, /*append_to_local_log=*/true);
-  const auto segments = ListNumbered(dir_, kSegmentPrefix, kSegmentSuffix);
   for (size_t i = 0; i < segments.size(); ++i) {
     const uint64_t seg_base = segments[i].first;
     // A segment bounded above by its successor's base is fully covered by
     // the checkpoint when that bound is below it — skip without reading.
-    if (i + 1 < segments.size() && segments[i + 1].first <= base_) continue;
+    if (i + 1 < segments.size() && segments[i + 1].first <= base) continue;
     BF_ASSIGN_OR_RETURN(std::vector<LogRecord> records,
                         ReadLogFile(segments[i].second.string()));
     size_t skip = 0;
-    if (seg_base < base_) {
-      skip = static_cast<size_t>(base_ - seg_base);
+    if (seg_base < base) {
+      skip = static_cast<size_t>(base - seg_base);
       if (skip >= records.size()) continue;
     }
     BF_RETURN_NOT_OK(applier.Apply(std::vector<LogRecord>(
@@ -215,19 +218,18 @@ Status WalDir::StartLogging(Database* db) {
 
 Status WalDir::RotateSegment(Database* db) {
   auto writer = std::make_shared<LogFileWriter>();
-  // The final name embeds the global offset of the segment's first
-  // record, which is only known at the instant the sink swaps in — so
-  // open under a temporary name and rename once SwapSink reports it
-  // (rename does not disturb the open FILE*).
+  // The final name embeds the LSN of the segment's first record, which
+  // is only known at the instant the sink swaps in — so open under a
+  // temporary name and rename once SwapSink reports it (rename does not
+  // disturb the open FILE*).
   const fs::path tmp = fs::path(dir_) / "wal-rotating.log.tmp";
   std::error_code ec;
   fs::remove(tmp, ec);
   BF_RETURN_NOT_OK(writer->Open(tmp.string()));
-  const size_t at = db->txns().redo_log().SwapSink(
+  const uint64_t seg_base = db->txns().redo_log().SwapSink(
       [writer](const std::vector<LogRecord>& batch) {
         return writer->Append(batch);
       });
-  const uint64_t seg_base = base_ + at;
   const fs::path final_path =
       fs::path(dir_) / (kSegmentPrefix + std::to_string(seg_base) +
                         kSegmentSuffix);
@@ -245,16 +247,8 @@ Status WalDir::Checkpoint(Database* db) {
   if (dir_.empty()) return Status::InvalidArgument("WalDir not opened");
 
   std::string blob;
-  BF_RETURN_NOT_OK(CaptureCheckpoint(db, &blob, base_));
-  // The covered offset sits after the magic + version header.
-  codec::ByteReader reader(blob);
-  char magic[4];
-  uint32_t version;
-  uint64_t offset = 0;
-  if (!reader.GetBytes(magic, sizeof(magic)) || !reader.GetU32(&version) ||
-      !reader.GetU64(&offset)) {
-    return Status::Internal("checkpoint blob missing header");
-  }
+  BF_RETURN_NOT_OK(CaptureCheckpoint(db, &blob));
+  BF_ASSIGN_OR_RETURN(const uint64_t offset, CheckpointOffset(blob));
   const fs::path ckpt_path =
       fs::path(dir_) / (kCkptPrefix + std::to_string(offset) + kCkptSuffix);
   BF_RETURN_NOT_OK(WriteFileAtomic(ckpt_path, blob));

@@ -16,16 +16,16 @@ namespace bullfrog::replication {
 /// zero; WalDir bounds restart time by pairing rotated WAL segments with
 /// checkpoints and replaying only the suffix past the newest checkpoint.
 ///
-/// Layout (all offsets are *global* record offsets, i.e. positions in the
-/// log as if it had never been truncated):
-///   wal-<base>.log   records starting at global offset <base>
+/// Layout (all offsets are absolute redo-log LSNs, the same numbers
+/// RedoLog::size() and REPLICATE use):
+///   wal-<base>.log   records starting at LSN <base>
 ///   ckpt-<offset>.bf checkpoint covering every record below <offset>
 ///
-/// The in-memory RedoLog always starts at index 0; WalDir tracks `base_`,
-/// the global offset of in-memory index 0 (the newest checkpoint's offset
-/// after a recovery, 0 for a fresh directory). Segments normally rotate
-/// at a checkpoint so none straddles it, but recovery still skips the
-/// already-covered prefix of a straddling segment for robustness.
+/// Recovery starts the in-memory RedoLog at the newest checkpoint's
+/// offset (0 for a fresh directory) and appends the replayed suffix at
+/// its own LSNs, so no translation is needed anywhere. Segments normally
+/// rotate at a checkpoint so none straddles it, but recovery still skips
+/// the already-covered prefix of a straddling segment for robustness.
 ///
 /// Usage (bullfrog_serverd --data-dir):
 ///   WalDir wal;
@@ -47,14 +47,16 @@ class WalDir {
 
   /// Restores the newest checkpoint (if any) into `db` — which must be
   /// empty — then replays every segment record past it through a
-  /// LogApplier, repopulating both the tables and the in-memory redo log
-  /// (so in-memory offsets line up: global = base() + index).
+  /// LogApplier, repopulating the tables and appending to the in-memory
+  /// redo log at the records' own LSNs. With `lease_ms` > 0 the
+  /// recovered base is leased for that long (RedoLog::Lease), so a
+  /// replica can resume its cursor across this restart.
   ///
   /// If the replayed suffix leaves a lazy migration incomplete, call
   /// db->controller().RecoverFromRedoLog() afterwards when this node is a
   /// primary: replay submits with replicated_replay set, and a primary
   /// must own its migration again (trackers, background threads).
-  Status Recover(Database* db);
+  Status Recover(Database* db, int64_t lease_ms = 0);
 
   /// Attaches a sink writing committed batches to a fresh segment.
   Status StartLogging(Database* db);
@@ -66,14 +68,10 @@ class WalDir {
   /// segments and checkpoints the new checkpoint supersedes.
   Status Checkpoint(Database* db);
 
-  /// Global offset of in-memory redo-log index 0.
-  uint64_t base() const { return base_; }
-
  private:
   Status RotateSegment(Database* db);
 
   std::string dir_;
-  uint64_t base_ = 0;
   std::shared_ptr<LogFileWriter> writer_;
 };
 

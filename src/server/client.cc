@@ -97,7 +97,7 @@ Result<std::string> Client::RoundTripRaw(uint8_t op,
     return Status::Internal("malformed response frame");
   }
   if (status_byte != 0) {
-    if (status_byte > static_cast<uint8_t>(StatusCode::kQueued)) {
+    if (status_byte > static_cast<uint8_t>(StatusCode::kTrimmed)) {
       return Status::Internal("unknown status byte " +
                               std::to_string(status_byte) + ": " + response);
     }

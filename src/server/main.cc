@@ -187,7 +187,7 @@ int main(int argc, char** argv) {
   if (!data_dir.empty()) {
     wal = std::make_unique<bullfrog::replication::WalDir>();
     bullfrog::Status st = wal->Open(data_dir);
-    if (st.ok()) st = wal->Recover(&db);
+    if (st.ok()) st = wal->Recover(&db, bullfrog::server::kReplicationLeaseMs);
     if (st.ok() && db.controller().HasActiveMigration() &&
         !db.controller().IsComplete()) {
       // The WAL suffix replayed an unfinished lazy migration in replica
@@ -218,9 +218,8 @@ int main(int argc, char** argv) {
     if (command == "replication") {
       *out = replica != nullptr
                  ? replica->StatusReport()
-                 : "role=primary offset=" +
-                       std::to_string((wal != nullptr ? wal->base() : 0) +
-                                      db.txns().redo_log().size());
+                 : "role=primary " +
+                       bullfrog::server::OffsetLine(db.txns().redo_log());
       return true;
     }
     if (command == "dump") {

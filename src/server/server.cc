@@ -39,6 +39,13 @@ void CloseFd(int fd) {
 
 }  // namespace
 
+std::string OffsetLine(const RedoLog& log) {
+  // Base first: it never passes the end read after it.
+  const uint64_t base = log.base_lsn();
+  return "offset=" + std::to_string(log.end_lsn()) +
+         " retained_from=" + std::to_string(base);
+}
+
 Server::Server(Database* db, ServerConfig config)
     : db_(db), config_(std::move(config)) {
   BindMetrics(db_->metrics());
@@ -235,9 +242,12 @@ void Server::ServeConnection(int fd) {
   // shard) on the sharded front end, a plain SqlEngine otherwise.
   std::unique_ptr<sql::SqlEngine> engine;
   std::unique_ptr<shard::Session> session;
+  // This connection's redo-log lease, should it send REPLICATE.
+  uint64_t lease_holder = 0;
   if (sharded_ != nullptr) {
     session = std::make_unique<shard::Session>(sharded_);
   } else {
+    lease_holder = db_->txns().redo_log().NewLeaseHolder();
     engine = std::make_unique<sql::SqlEngine>(db_);
     engine->set_read_only(config_.read_only);
     if (config_.read_through != nullptr) {
@@ -291,7 +301,7 @@ void Server::ServeConnection(int fd) {
     uint8_t status_byte = 0;
     std::string response;
     HandleRequest(opcode, payload, engine.get(), session.get(), trace_id,
-                  &status_byte, &response);
+                  lease_holder, &status_byte, &response);
     if (opcode >= 1 && opcode < kNumOpcodes) {
       latency_[opcode]->ObserveNanos(request_clock.ElapsedNanos());
     }
@@ -310,8 +320,8 @@ void Server::ServeConnection(int fd) {
 
 void Server::HandleRequest(uint8_t opcode, const std::string& payload,
                            sql::SqlEngine* engine, shard::Session* session,
-                           uint64_t trace_id, uint8_t* status_byte,
-                           std::string* response) {
+                           uint64_t trace_id, uint64_t lease_holder,
+                           uint8_t* status_byte, std::string* response) {
   *status_byte = 0;
   response->clear();
   switch (static_cast<Opcode>(opcode)) {
@@ -378,7 +388,7 @@ void Server::HandleRequest(uint8_t opcode, const std::string& payload,
       *response = AdminText(payload);
       return;
     case Opcode::kReplicate:
-      HandleReplicate(payload, status_byte, response);
+      HandleReplicate(payload, lease_holder, status_byte, response);
       return;
     default:
       *status_byte = static_cast<uint8_t>(StatusCode::kUnsupported);
@@ -409,17 +419,25 @@ std::string Server::AdminText(const std::string& command) const {
     // The current redo-log size — the apply barrier a replica waits on
     // after forwarding a mid-migration read to this primary. Sharded:
     // the sum plus one offset per shard segment.
+    // retained_from is the lowest LSN still held in memory (the sum of
+    // the shards' when sharded): equal to offset unless a replica lease
+    // or a pin keeps records.
     if (sharded_ != nullptr) {
+      uint64_t retained = 0;
+      for (size_t i = 0; i < sharded_->num_shards(); ++i) {
+        retained += sharded_->shard(i)->txns().redo_log().base_lsn();
+      }
       const auto offsets = sharded_->LogOffsets();
       uint64_t total = 0;
       for (uint64_t o : offsets) total += o;
-      std::string out = "offset=" + std::to_string(total);
+      std::string out = "offset=" + std::to_string(total) +
+                        " retained_from=" + std::to_string(retained);
       for (size_t i = 0; i < offsets.size(); ++i) {
         out += " shard" + std::to_string(i) + "=" + std::to_string(offsets[i]);
       }
       return out;
     }
-    return "offset=" + std::to_string(db_->txns().redo_log().size());
+    return OffsetLine(db_->txns().redo_log());
   }
   if (command == "metrics") {
     // Prometheus text exposition of the whole registry: server, txn,
@@ -466,8 +484,8 @@ std::string Server::AdminText(const std::string& command) const {
          "'profile [id]', 'slowlog', 'timeseries', or 'shards')";
 }
 
-void Server::HandleReplicate(const std::string& payload, uint8_t* status_byte,
-                             std::string* response) {
+void Server::HandleReplicate(const std::string& payload, uint64_t lease_holder,
+                             uint8_t* status_byte, std::string* response) {
   auto fail = [&](StatusCode code, const std::string& msg) {
     *status_byte = static_cast<uint8_t>(code);
     *response = msg;
@@ -488,10 +506,22 @@ void Server::HandleReplicate(const std::string& payload, uint8_t* status_byte,
   if (!reader.GetU8(&subop)) {
     return fail(StatusCode::kInvalidArgument, "REPLICATE: missing subop");
   }
+  // Each request refreshes this connection's lease at the LSN the
+  // replica will read next, so the log keeps [lsn, end) until the lease
+  // lapses (a replica that reconnects within the period resumes).
+  RedoLog& log = db_->txns().redo_log();
   if (subop == 1) {  // Checkpoint bootstrap.
+    // Lease before the capture: its offset is at or past this end LSN,
+    // and the records from it on must survive until the first tail.
+    log.Lease(lease_holder, log.end_lsn(), kReplicationLeaseMs);
     std::string blob;
     const Status s = replication::CaptureCheckpoint(db_, &blob);
     if (!s.ok()) return fail(s.code(), s.message());
+    const Result<uint64_t> offset = replication::CheckpointOffset(blob);
+    if (!offset.ok()) {
+      return fail(offset.status().code(), offset.status().message());
+    }
+    log.Lease(lease_holder, *offset, kReplicationLeaseMs);
     *response = std::move(blob);
     return;
   }
@@ -506,21 +536,23 @@ void Server::HandleReplicate(const std::string& payload, uint8_t* status_byte,
     // Block on the redo log's growth condition (a committed group-commit
     // batch wakes tails immediately — no sleep-poll latency), in short
     // ticks so server shutdown stays prompt.
+    log.Lease(lease_holder, from, kReplicationLeaseMs);
     std::vector<LogRecord> records;
-    size_t log_size = db_->txns().redo_log().ReadFrom(from, max_records,
-                                                      &records);
+    Result<uint64_t> end = log.ReadFrom(from, max_records, &records);
     Stopwatch waited;
-    while (records.empty() && waited.ElapsedMillis() < wait_ms &&
+    while (end.ok() && records.empty() && waited.ElapsedMillis() < wait_ms &&
            !stopping_.load(std::memory_order_acquire)) {
       const int64_t remaining =
           static_cast<int64_t>(wait_ms) - waited.ElapsedMillis();
-      db_->txns().redo_log().WaitForSize(
-          from, std::clamp<int64_t>(remaining, 0, kPollTickMs));
-      log_size = db_->txns().redo_log().ReadFrom(from, max_records, &records);
+      log.WaitForSize(from, std::clamp<int64_t>(remaining, 0, kPollTickMs));
+      end = log.ReadFrom(from, max_records, &records);
     }
+    // kTrimmed: `from` is below what the log retains; the replica must
+    // re-bootstrap from a checkpoint.
+    if (!end.ok()) return fail(end.status().code(), end.status().message());
     // Batch frame keyed by LSN: the replica checks start_lsn against its
     // own applied offset to detect gaps or divergence before applying.
-    codec::PutU64(response, log_size);
+    codec::PutU64(response, *end);
     codec::PutU64(response, from);  // start_lsn of this frame.
     codec::PutU32(response, static_cast<uint32_t>(records.size()));
     for (const LogRecord& r : records) EncodeLogRecord(response, r);

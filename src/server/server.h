@@ -28,6 +28,15 @@ class ShardedDatabase;
 
 namespace bullfrog::server {
 
+/// How long the redo log keeps records for a replica after its last
+/// REPLICATE request (and for a recovered base after a restart, see
+/// WalDir::Recover). A replica that stays away longer finds its cursor
+/// trimmed and must re-bootstrap from a checkpoint.
+inline constexpr int64_t kReplicationLeaseMs = 60000;
+
+/// "offset=<end LSN> retained_from=<base LSN>": the ADMIN offset line.
+std::string OffsetLine(const RedoLog& log);
+
 struct ServerConfig {
   std::string host = "127.0.0.1";
   /// 0 = bind an ephemeral port (read it back via Server::port()).
@@ -131,8 +140,8 @@ class Server {
   /// frame or server-side sampling).
   void HandleRequest(uint8_t opcode, const std::string& payload,
                      sql::SqlEngine* engine, shard::Session* session,
-                     uint64_t trace_id, uint8_t* status_byte,
-                     std::string* response);
+                     uint64_t trace_id, uint64_t lease_holder,
+                     uint8_t* status_byte, std::string* response);
   std::string AdminText(const std::string& command) const;
   /// Trace plumbing for whichever back end this server fronts.
   obs::TraceSampler& trace_sampler() const;
@@ -163,9 +172,10 @@ class Server {
   std::condition_variable queue_cv_;
   std::deque<int> pending_;  // Accepted fds awaiting a worker.
 
-  /// Serves a REPLICATE request (checkpoint or tail subop).
-  void HandleReplicate(const std::string& payload, uint8_t* status_byte,
-                       std::string* response);
+  /// Serves a REPLICATE request (checkpoint or tail subop), refreshing
+  /// the connection's redo-log lease `lease_holder`.
+  void HandleReplicate(const std::string& payload, uint64_t lease_holder,
+                       uint8_t* status_byte, std::string* response);
 
   // Metrics live on the Database's MetricsRegistry (bullfrog_server_*
   // families), so `ADMIN metrics` exposes the server alongside the txn

@@ -122,9 +122,8 @@ Status ShardedDatabase::Checkpoint() {
 std::vector<uint64_t> ShardedDatabase::LogOffsets() {
   std::vector<uint64_t> out;
   out.reserve(shards_.size());
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    const uint64_t base = wal_dirs_.empty() ? 0 : wal_dirs_[i]->base();
-    out.push_back(base + shards_[i]->txns().redo_log().size());
+  for (const auto& shard : shards_) {
+    out.push_back(shard->txns().redo_log().size());
   }
   return out;
 }

@@ -70,7 +70,7 @@ class ShardedDatabase {
 
   bool durable() const { return !wal_dirs_.empty(); }
 
-  /// Per-shard redo-log sizes (global offsets when durable).
+  /// Per-shard redo-log end LSNs.
   std::vector<uint64_t> LogOffsets();
 
   /// --- merged observability --------------------------------------------

@@ -1,6 +1,5 @@
 #include "txn/recovery.h"
 
-#include <utility>
 #include <vector>
 
 namespace bullfrog {
@@ -8,37 +7,11 @@ namespace bullfrog {
 void RecoverTrackerState(
     const RedoLog& log,
     const std::unordered_map<std::string, TrackerRecoveryTarget*>& targets) {
-  // Buffer marks per in-flight transaction; flush when its commit record
-  // is encountered. (AppendCommitted only logs committed transactions, but
-  // recovery must not rely on that invariant — a log shipped from another
-  // node, or a future group-commit implementation, may interleave.)
-  struct PendingMark {
-    std::string tracker_id;
-    Tuple unit_key;
-  };
-  std::unordered_map<uint64_t, std::vector<PendingMark>> pending;
-
-  log.Replay([&](const LogRecord& r) {
-    switch (r.op) {
-      case LogOp::kMigrationMark:
-        pending[r.txn_id].push_back(PendingMark{r.table, r.after});
-        break;
-      case LogOp::kCommit: {
-        auto it = pending.find(r.txn_id);
-        if (it == pending.end()) break;
-        for (PendingMark& m : it->second) {
-          auto target = targets.find(m.tracker_id);
-          if (target != targets.end()) {
-            target->second->MarkMigratedFromLog(m.unit_key);
-          }
-        }
-        pending.erase(it);
-        break;
-      }
-      default:
-        break;
+  for (const auto& [tracker_id, target] : targets) {
+    for (const Tuple& key : log.MarksFor(tracker_id)) {
+      target->MarkMigratedFromLog(key);
     }
-  });
+  }
 }
 
 }  // namespace bullfrog

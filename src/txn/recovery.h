@@ -30,13 +30,15 @@ class TrackerRecoveryTarget {
 /// set to [0 1] in the bitmap or migrated in the hashmap."
 ///
 /// The original prototype notes this was not yet implemented; this
-/// function implements it. Marks belonging to transactions without a
-/// commit record in the log are ignored (they were in flight at the
-/// crash), matching write-ahead semantics.
+/// function implements it. It reads the log's committed-marks list
+/// (RedoLog::MarksFor), not the row images, so it works whatever the log
+/// still retains. Marks of transactions without a commit record never
+/// enter that list (they were in flight at the crash), matching
+/// write-ahead semantics.
 ///
 /// `targets` maps tracker id (as passed to LogMigrationMark) to the
-/// tracker to rebuild. Unknown tracker ids are skipped (their migrations
-/// may already be complete and dropped).
+/// tracker to rebuild. Marks of other trackers are ignored (their
+/// migrations may already be complete and dropped).
 void RecoverTrackerState(
     const RedoLog& log,
     const std::unordered_map<std::string, TrackerRecoveryTarget*>& targets);

@@ -1,6 +1,8 @@
 #include "txn/wal.h"
 
+#include <algorithm>
 #include <chrono>
+#include <cstdint>
 
 #include "common/clock.h"
 #include "common/env.h"
@@ -31,9 +33,134 @@ RedoLog::~RedoLog() {
   if (writer_.joinable()) writer_.join();
 }
 
-void RedoLog::PublishLocked(std::vector<LogRecord> records, uint64_t* lsn) {
-  for (LogRecord& r : records) records_.push_back(std::move(r));
-  if (lsn != nullptr) *lsn = records_.size();
+RedoLog::RetentionPin::RetentionPin(RetentionPin&& other) noexcept
+    : log_(other.log_), lsn_(other.lsn_) {
+  other.log_ = nullptr;
+}
+
+RedoLog::RetentionPin& RedoLog::RetentionPin::operator=(
+    RetentionPin&& other) noexcept {
+  if (this != &other) {
+    Release();
+    log_ = other.log_;
+    lsn_ = other.lsn_;
+    other.log_ = nullptr;
+  }
+  return *this;
+}
+
+void RedoLog::RetentionPin::Advance(uint64_t lsn) {
+  if (log_ == nullptr || lsn <= lsn_) return;
+  {
+    std::lock_guard lock(log_->mu_);
+    log_->pins_.erase(log_->pins_.find(lsn_));
+    log_->pins_.insert(lsn);
+  }
+  lsn_ = lsn;
+  log_->Retrim();
+}
+
+void RedoLog::RetentionPin::Release() {
+  if (log_ == nullptr) return;
+  RedoLog* log = log_;
+  log_ = nullptr;
+  log->Unpin(lsn_);
+}
+
+RedoLog::RetentionPin RedoLog::Pin(uint64_t lsn) {
+  std::lock_guard lock(mu_);
+  lsn = std::max(lsn, base_);
+  pins_.insert(lsn);
+  UpdateGaugesLocked();
+  return RetentionPin(this, lsn);
+}
+
+void RedoLog::Unpin(uint64_t lsn) {
+  {
+    std::lock_guard lock(mu_);
+    pins_.erase(pins_.find(lsn));
+  }
+  Retrim();
+}
+
+void RedoLog::Lease(uint64_t holder, uint64_t lsn, int64_t period_ms) {
+  {
+    std::lock_guard lock(mu_);
+    leases_[holder] = LeaseEntry{std::max(lsn, base_),
+                                 Clock::NowMillis() + period_ms};
+  }
+  Retrim();
+}
+
+uint64_t RedoLog::RetentionFloorLocked() {
+  uint64_t floor = pins_.empty() ? UINT64_MAX : *pins_.begin();
+  if (!leases_.empty()) {
+    const int64_t now = Clock::NowMillis();
+    for (auto it = leases_.begin(); it != leases_.end();) {
+      if (it->second.expires_ms <= now) {
+        it = leases_.erase(it);
+      } else {
+        floor = std::min(floor, it->second.lsn);
+        ++it;
+      }
+    }
+  }
+  return floor;
+}
+
+void RedoLog::TrimLocked(std::vector<LogRecord>* dropped) {
+  const uint64_t floor = std::min(RetentionFloorLocked(), end_);
+  if (floor > base_) {
+    const size_t n = static_cast<size_t>(floor - base_);
+    dropped->reserve(dropped->size() + n);
+    for (size_t i = 0; i < n; ++i) {
+      dropped->push_back(std::move(records_.front()));
+      records_.pop_front();
+    }
+    base_ = floor;
+  }
+  UpdateGaugesLocked();
+}
+
+void RedoLog::Retrim() {
+  std::vector<LogRecord> dropped;
+  std::lock_guard lock(mu_);
+  TrimLocked(&dropped);
+  // `dropped` is declared first, so it is freed after the unlock.
+}
+
+void RedoLog::PublishLocked(std::vector<LogRecord>* records,
+                            std::vector<LogRecord>* dropped) {
+  for (const LogRecord& r : *records) {
+    if (r.op == LogOp::kMigrationMark) {
+      pending_marks_[r.txn_id].emplace_back(r.table, r.after);
+    } else if (r.op == LogOp::kCommit && !pending_marks_.empty()) {
+      auto it = pending_marks_.find(r.txn_id);
+      if (it == pending_marks_.end()) continue;
+      for (auto& [tracker, key] : it->second) {
+        marks_[tracker].push_back(std::move(key));
+      }
+      pending_marks_.erase(it);
+    }
+  }
+  end_ += records->size();
+  if (records_.empty() && RetentionFloorLocked() >= end_) {
+    // Nothing retains any of it: the batch stays with the caller, which
+    // frees it after unlocking.
+    base_ = end_;
+    UpdateGaugesLocked();
+    return;
+  }
+  for (LogRecord& r : *records) records_.push_back(std::move(r));
+  TrimLocked(dropped);
+}
+
+void RedoLog::UpdateGaugesLocked() {
+  if (retained_gauge_ == nullptr) return;
+  retained_gauge_->Set(static_cast<int64_t>(records_.size()));
+  base_gauge_->Set(static_cast<int64_t>(base_));
+  end_gauge_->Set(static_cast<int64_t>(end_));
+  pins_gauge_->Set(static_cast<int64_t>(pins_.size() + leases_.size()));
 }
 
 Status RedoLog::RunSinkLocked(const std::vector<LogRecord>& records) {
@@ -70,7 +197,7 @@ void RedoLog::SetSink(Sink sink) {
   if (sink_) ResolveKnobsAndStartWriter();
 }
 
-size_t RedoLog::SwapSink(Sink sink) {
+uint64_t RedoLog::SwapSink(Sink sink) {
   // sink_mu_ first: an in-flight batch finishes against the old sink and
   // publishes before we read the swap offset, so every record below the
   // returned offset is durable in the old segment and everything queued
@@ -79,18 +206,20 @@ size_t RedoLog::SwapSink(Sink sink) {
   std::lock_guard lock(mu_);
   sink_ = std::move(sink);
   if (sink_) ResolveKnobsAndStartWriter();
-  return records_.size();
+  return end_;
 }
 
 Status RedoLog::SyncAppend(std::vector<LogRecord> records,
                            CommitTicket* ticket) {
+  std::vector<LogRecord> dropped;  // Freed after both locks are released.
   std::lock_guard sink_lock(sink_mu_);
   Status st = RunSinkLocked(records);
   if (!st.ok()) return AnnotateSinkFailure(st);
   uint64_t lsn = 0;
   {
     std::lock_guard lock(mu_);
-    PublishLocked(std::move(records), &lsn);
+    PublishLocked(&records, &dropped);
+    lsn = end_;
   }
   grow_cv_.notify_all();
   uint64_t seq;
@@ -217,6 +346,7 @@ void RedoLog::ProcessBatch(const std::vector<Pending*>& batch) {
   }
 
   Status st;
+  std::vector<LogRecord> dropped;
   {
     std::lock_guard sink_lock(sink_mu_);
     st = RunSinkLocked(combined);
@@ -226,12 +356,12 @@ void RedoLog::ProcessBatch(const std::vector<Pending*>& batch) {
       // and our memory publish. mu_ itself is held only for the splice —
       // readers never wait on the fsync above.
       std::lock_guard lock(mu_);
-      uint64_t lsn = records_.size();
+      uint64_t lsn = end_;
       for (Pending* p : batch) {
         lsn += p->records.size();
         p->ticket.lsn = lsn;
       }
-      PublishLocked(std::move(combined), nullptr);
+      PublishLocked(&combined, &dropped);
     }
   }
   if (st.ok()) grow_cv_.notify_all();
@@ -264,35 +394,62 @@ void RedoLog::ProcessBatch(const std::vector<Pending*>& batch) {
 }
 
 void RedoLog::AppendRaw(std::vector<LogRecord> records) {
+  std::vector<LogRecord> dropped;
   {
     std::lock_guard lock(mu_);
-    for (LogRecord& r : records) records_.push_back(std::move(r));
+    PublishLocked(&records, &dropped);
   }
   grow_cv_.notify_all();
 }
 
-void RedoLog::Replay(const std::function<void(const LogRecord&)>& fn) const {
+Status RedoLog::StartAt(uint64_t lsn) {
   std::lock_guard lock(mu_);
-  for (const LogRecord& r : records_) fn(r);
+  if (end_ != 0) {
+    return Status::InvalidArgument(
+        "redo log already holds LSNs up to " + std::to_string(end_));
+  }
+  base_ = end_ = lsn;
+  UpdateGaugesLocked();
+  return Status::OK();
 }
 
-size_t RedoLog::ReadFrom(size_t from, size_t limit,
-                         std::vector<LogRecord>* out) const {
+Result<uint64_t> RedoLog::ReadFrom(uint64_t from, size_t limit,
+                                   std::vector<LogRecord>* out) const {
   std::lock_guard lock(mu_);
   out->clear();
-  for (size_t i = from; i < records_.size() && out->size() < limit; ++i) {
-    out->push_back(records_[i]);
+  if (from < base_) {
+    return Status::Trimmed("redo log trimmed below LSN " +
+                           std::to_string(base_) + " (asked for " +
+                           std::to_string(from) + ")");
   }
-  return records_.size();
+  for (uint64_t i = from; i < end_ && out->size() < limit; ++i) {
+    out->push_back(records_[static_cast<size_t>(i - base_)]);
+  }
+  return end_;
 }
 
-size_t RedoLog::WaitForSize(size_t from, int64_t timeout_ms) const {
+uint64_t RedoLog::WaitForSize(uint64_t from, int64_t timeout_ms) const {
   std::unique_lock lock(mu_);
   if (timeout_ms > 0) {
     grow_cv_.wait_for(lock, std::chrono::milliseconds(timeout_ms),
-                      [this, from] { return records_.size() > from; });
+                      [this, from] { return end_ > from; });
   }
-  return records_.size();
+  return end_;
+}
+
+std::vector<Tuple> RedoLog::MarksFor(const std::string& tracker_id) const {
+  std::lock_guard lock(mu_);
+  auto it = marks_.find(tracker_id);
+  return it == marks_.end() ? std::vector<Tuple>{} : it->second;
+}
+
+void RedoLog::DropMarks(const std::string& tracker_id) {
+  std::vector<Tuple> dropped;
+  std::lock_guard lock(mu_);
+  auto it = marks_.find(tracker_id);
+  if (it == marks_.end()) return;
+  dropped = std::move(it->second);
+  marks_.erase(it);
 }
 
 void RedoLog::BindMetrics(obs::MetricsRegistry* registry) {
@@ -303,6 +460,12 @@ void RedoLog::BindMetrics(obs::MetricsRegistry* registry) {
   sync_latency_hist_ = registry->GetHistogram(
       "bullfrog_wal_sync_seconds", "", obs::MetricsRegistry::LatencyBounds());
   acks_counter_ = registry->GetCounter("bullfrog_wal_acks_released_total");
+  std::lock_guard lock(mu_);
+  retained_gauge_ = registry->GetGauge("bullfrog_wal_retained_records");
+  base_gauge_ = registry->GetGauge("bullfrog_wal_base_lsn");
+  end_gauge_ = registry->GetGauge("bullfrog_wal_end_lsn");
+  pins_gauge_ = registry->GetGauge("bullfrog_wal_pins");
+  UpdateGaugesLocked();
 }
 
 }  // namespace bullfrog

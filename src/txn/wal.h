@@ -7,11 +7,14 @@
 #include <deque>
 #include <functional>
 #include <mutex>
+#include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "common/result.h"
 #include "common/status.h"
 #include "obs/metrics.h"
 #include "storage/tuple.h"
@@ -66,19 +69,44 @@ inline LogRecord MakeDdlRecord(std::string kind, std::string blob) {
 }
 
 /// Receipt for one committed append, filled by AppendCommitted on
-/// success. `lsn` is the log size (record count) just past this commit's
-/// records — commits become durable and visible in strictly increasing
-/// LSN order. `ack_seq` is the order in which the ack was released;
-/// sorting a set of tickets by ack_seq must yield nondecreasing lsn,
-/// which the LSN-ordered-ack test asserts under 16 concurrent committers.
+/// success. `lsn` is the end LSN just past this commit's records —
+/// commits become durable and visible in strictly increasing LSN order.
+/// `ack_seq` is the order in which the ack was released; sorting a set
+/// of tickets by ack_seq must yield nondecreasing lsn, which the
+/// LSN-ordered-ack test asserts under 16 concurrent committers.
 struct CommitTicket {
   uint64_t lsn = 0;
   uint64_t ack_seq = 0;
 };
 
-/// The redo log: an in-memory, append-only record vector plus an optional
-/// durability sink (e.g. a LogFileWriter), with a group-commit writer in
-/// front of the sink.
+/// The redo log: a bounded in-memory buffer of committed records
+/// addressed by absolute LSN, plus an optional durability sink (e.g. a
+/// LogFileWriter) with a group-commit writer in front of it.
+///
+/// LSNs. Every record has an absolute LSN: its position in the log as if
+/// nothing had ever been dropped. The log holds only [base_lsn, end_lsn);
+/// size() is end_lsn, so an offset read from size() stays valid across
+/// trims, restarts (WalDir) and checkpoint loads (StartAt).
+///
+/// Retention. A record is kept only while something can still read it:
+///  - a RetentionPin (RAII) keeps [pin.lsn(), end) while it lives;
+///  - a lease keeps [lsn, end) for a period after its last refresh, on
+///    behalf of a holder that is not an object in this process — a
+///    replica's REPLICATE cursor, or a recovered base a replica may
+///    resume from after a primary restart.
+/// The base is the lowest live pin or lease; with neither, each
+/// committed batch is dropped outside the log mutex as soon as the sink
+/// has taken it, so an embedded Database with no sink and no replica
+/// keeps no records at all. Lapsed leases are noticed whenever the log
+/// trims (each publish, and each pin or lease change). ReadFrom below
+/// the base returns kTrimmed: those records exist only in the sink.
+///
+/// Migration marks. Tracker recovery (§3.5, txn/recovery.h) needs the
+/// committed kMigrationMark records and nothing else, so the log keeps
+/// them on the side, per tracker id, independent of retention. Marks of
+/// AppendRaw'd records (WAL replay, replica apply) are buffered per
+/// transaction until its commit record arrives. The controller drops a
+/// tracker's marks when it prunes the finished migration (DropMarks).
 ///
 /// Commit path (sink attached, group commit enabled — the default):
 /// committing transactions enqueue their records and block on a
@@ -88,13 +116,13 @@ struct CommitTicket {
 /// releases the acks strictly in LSN order. The sink's Status is
 /// propagated to every waiter in the batch: a failed write/sync aborts
 /// those commits instead of acking them, and the failed records are never
-/// published (not visible to ReadFrom/Replay, never shipped to replicas).
+/// published (not visible to ReadFrom, never shipped to replicas).
 ///
 /// Reader isolation: the sink is invoked WITHOUT holding the log mutex,
-/// so ReadFrom / Replay / size readers (replication tails, recovery,
-/// ADMIN offset) never wait on an fsync. Records become visible only
-/// after they are durable — the in-memory log is always a prefix of the
-/// durable log, never ahead of it.
+/// so ReadFrom / size readers (replication tails, ADMIN offset) never
+/// wait on an fsync. Records become visible only after they are durable
+/// — the in-memory log is always a prefix of the durable log, never
+/// ahead of it.
 ///
 /// Knobs (read once per RedoLog when the first sink is attached):
 ///   BF_GROUP_COMMIT=0          disable the writer thread; every commit
@@ -110,6 +138,30 @@ struct CommitTicket {
 ///                              previous fsync is in flight)
 class RedoLog {
  public:
+  /// Keeps every record at or above lsn() while it lives. Movable, not
+  /// copyable; Advance moves it forward, releasing the records it passes.
+  class RetentionPin {
+   public:
+    RetentionPin() = default;
+    RetentionPin(RetentionPin&& other) noexcept;
+    RetentionPin& operator=(RetentionPin&& other) noexcept;
+    RetentionPin(const RetentionPin&) = delete;
+    RetentionPin& operator=(const RetentionPin&) = delete;
+    ~RetentionPin() { Release(); }
+
+    uint64_t lsn() const { return lsn_; }
+    /// Moves the pin to `lsn` (ignored unless it is ahead of lsn()).
+    void Advance(uint64_t lsn);
+    /// Drops the pin now; a no-op on an empty or released pin.
+    void Release();
+
+   private:
+    friend class RedoLog;
+    RetentionPin(RedoLog* log, uint64_t lsn) : log_(log), lsn_(lsn) {}
+    RedoLog* log_ = nullptr;
+    uint64_t lsn_ = 0;
+  };
+
   RedoLog() = default;
   ~RedoLog();
   RedoLog(const RedoLog&) = delete;
@@ -131,45 +183,74 @@ class RedoLog {
   using Sink = std::function<Status(const std::vector<LogRecord>&)>;
   void SetSink(Sink sink);
 
-  /// Atomically replaces the sink and returns the log size at the swap
+  /// Atomically replaces the sink and returns the end LSN at the swap
   /// point. WAL segment rotation needs the two together: every record
-  /// before the returned offset went to the old sink, every one after
-  /// goes to the new sink, so the new segment's base offset is exact.
-  /// (Commits queued but not yet durable at the swap point are published
-  /// after it, through the new sink — the invariant holds.)
-  size_t SwapSink(Sink sink);
+  /// before the returned LSN went to the old sink, every one after goes
+  /// to the new sink, so the new segment's base LSN is exact. (Commits
+  /// queued but not yet durable at the swap point are published after
+  /// it, through the new sink — the invariant holds.)
+  uint64_t SwapSink(Sink sink);
 
-  /// Bulk-loads records (e.g. read back from a log file after a restart).
+  /// Appends already-committed records (WAL replay, replica apply) at
+  /// the end LSN. Their migration marks count once their transaction's
+  /// commit record has been appended.
   void AppendRaw(std::vector<LogRecord> records);
 
-  /// Invokes fn on every record, in append order.
-  void Replay(const std::function<void(const LogRecord&)>& fn) const;
+  /// Moves an empty log to start at `lsn` (base = end = lsn): a database
+  /// restored from a checkpoint continues the LSN space the checkpoint
+  /// covers. InvalidArgument once anything was appended.
+  Status StartAt(uint64_t lsn);
 
-  /// Copies up to `limit` records starting at record offset `from` into
-  /// *out (cleared first) and returns the current log size. Used by the
-  /// replication stream to tail committed records: offsets are stable
-  /// because the log is append-only, and only durable records are ever
-  /// visible here.
-  size_t ReadFrom(size_t from, size_t limit,
-                  std::vector<LogRecord>* out) const;
+  /// Copies up to `limit` records starting at LSN `from` into *out
+  /// (cleared first) and returns the end LSN. Used by the replication
+  /// stream to tail committed records; only durable records are ever
+  /// visible here. kTrimmed when `from` is below the base: the records
+  /// were dropped once nothing pinned them.
+  Result<uint64_t> ReadFrom(uint64_t from, size_t limit,
+                            std::vector<LogRecord>* out) const;
 
-  /// Blocks until the log size exceeds `from` or `timeout_ms` elapses;
-  /// returns the current size. Replication tails wait here instead of
+  /// Blocks until the end LSN exceeds `from` or `timeout_ms` elapses;
+  /// returns the end LSN. Replication tails wait here instead of
   /// sleep-polling, so a committed batch wakes them immediately.
-  size_t WaitForSize(size_t from, int64_t timeout_ms) const;
+  uint64_t WaitForSize(uint64_t from, int64_t timeout_ms) const;
 
-  /// Exports group-commit health onto `registry`:
+  /// Pins [max(lsn, base), end): see RetentionPin.
+  RetentionPin Pin(uint64_t lsn);
+
+  /// Keeps [max(lsn, base), end) for `period_ms` from now on behalf of
+  /// `holder` (from NewLeaseHolder). A holder has at most one lease; a
+  /// refresh replaces its LSN and restarts its period.
+  void Lease(uint64_t holder, uint64_t lsn, int64_t period_ms);
+  uint64_t NewLeaseHolder() {
+    return next_lease_holder_.fetch_add(1, std::memory_order_relaxed);
+  }
+
+  /// The committed migration marks of `tracker_id`, in commit order.
+  std::vector<Tuple> MarksFor(const std::string& tracker_id) const;
+  /// Forgets `tracker_id`'s marks (its migration finished and was pruned).
+  void DropMarks(const std::string& tracker_id);
+
+  /// Exports group-commit health and retention onto `registry`:
   ///   bullfrog_wal_group_commit_batch_size  commits per sink call
   ///   bullfrog_wal_sync_seconds             sink (write+fsync) latency
   ///   bullfrog_wal_acks_released_total      commit acks released
+  ///   bullfrog_wal_retained_records         records held in memory
+  ///   bullfrog_wal_base_lsn / _end_lsn      the retained LSN range
+  ///   bullfrog_wal_pins                     live pins + unexpired leases
   /// Call before the first sink attach (handles are read by the writer
   /// thread without synchronization afterwards).
   void BindMetrics(obs::MetricsRegistry* registry);
 
-  size_t size() const {
+  uint64_t base_lsn() const {
     std::lock_guard lock(mu_);
-    return records_.size();
+    return base_;
   }
+  uint64_t end_lsn() const {
+    std::lock_guard lock(mu_);
+    return end_;
+  }
+  /// The end LSN (records ever appended, counting trimmed ones).
+  uint64_t size() const { return end_lsn(); }
 
  private:
   /// One queued commit awaiting durability + ack. `done` doubles as the
@@ -185,8 +266,27 @@ class RedoLog {
     std::atomic<int> done{0};
   };
 
-  /// Appends under mu_ (already locked by caller) and fills lsn.
-  void PublishLocked(std::vector<LogRecord> records, uint64_t* lsn);
+  struct LeaseEntry {
+    uint64_t lsn;
+    int64_t expires_ms;
+  };
+
+  /// Appends `*records` at the end LSN under mu_ (already locked by
+  /// caller), collecting committed marks and trimming below the
+  /// retention floor. Whatever is no longer retained is left in
+  /// *records or moved to *dropped, for the caller to free after
+  /// unlocking.
+  void PublishLocked(std::vector<LogRecord>* records,
+                     std::vector<LogRecord>* dropped);
+  /// Moves retained records below the retention floor into *dropped.
+  void TrimLocked(std::vector<LogRecord>* dropped);
+  /// The lowest live pin or unexpired lease (lapsed leases are erased);
+  /// UINT64_MAX when nothing retains.
+  uint64_t RetentionFloorLocked();
+  void UpdateGaugesLocked();
+  /// Trims after a pin or lease change, freeing outside mu_.
+  void Retrim();
+  void Unpin(uint64_t lsn);
   /// Runs the sink (if any) for `records` under sink_mu_ (already locked
   /// by caller), observing sync latency. OK when no sink is attached.
   Status RunSinkLocked(const std::vector<LogRecord>& records);
@@ -202,9 +302,19 @@ class RedoLog {
 
   // Lock order (when nested): sink_mu_ -> mu_. queue_mu_ and ack_mu_ are
   // leaves, never held across a sink call or while taking the others.
-  mutable std::mutex mu_;  // records_ + growth signal.
+  mutable std::mutex mu_;  // Everything below up to sink_mu_.
   mutable std::condition_variable grow_cv_;
-  std::vector<LogRecord> records_;
+  std::deque<LogRecord> records_;  // [base_, end_).
+  uint64_t base_ = 0;
+  uint64_t end_ = 0;
+  std::multiset<uint64_t> pins_;
+  std::unordered_map<uint64_t, LeaseEntry> leases_;  // By holder.
+  /// Committed kMigrationMark unit keys by tracker id.
+  std::unordered_map<std::string, std::vector<Tuple>> marks_;
+  /// Marks of transactions whose commit record has not been seen yet.
+  std::unordered_map<uint64_t, std::vector<std::pair<std::string, Tuple>>>
+      pending_marks_;
+  std::atomic<uint64_t> next_lease_holder_{1};
 
   std::mutex sink_mu_;  // sink_ identity + serialization of sink calls.
   Sink sink_;
@@ -222,10 +332,15 @@ class RedoLog {
   std::mutex ack_mu_;  // Ack counter only; Pending fields are handed off
   uint64_t acks_released_ = 0;  // via Pending::done release/acquire.
 
-  // Nullable metric handles; bound before the writer thread exists.
+  // Nullable metric handles; bound before the writer thread exists (the
+  // gauges under mu_).
   obs::Histogram* batch_size_hist_ = nullptr;
   obs::Histogram* sync_latency_hist_ = nullptr;
   obs::Counter* acks_counter_ = nullptr;
+  obs::Gauge* retained_gauge_ = nullptr;
+  obs::Gauge* base_gauge_ = nullptr;
+  obs::Gauge* end_gauge_ = nullptr;
+  obs::Gauge* pins_gauge_ = nullptr;
 };
 
 }  // namespace bullfrog

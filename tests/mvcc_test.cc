@@ -243,6 +243,8 @@ TEST_F(MvccTest, PinnedSnapshotSurvivesGc) {
 // own snapshot reads work over the rebuilt chains.
 TEST(MvccRecoveryTest, ReplayRebuildsVisibleState) {
   Database a;
+  // Keep the whole log readable: nothing else retains it.
+  RedoLog::RetentionPin pin = a.txns().redo_log().Pin(0);
   sql::SqlEngine engine(&a);
   MustExec(&engine,
            "CREATE TABLE kv (id INT PRIMARY KEY, score DOUBLE, name TEXT)");
@@ -255,7 +257,7 @@ TEST(MvccRecoveryTest, ReplayRebuildsVisibleState) {
   MustExec(&engine, "DELETE FROM kv WHERE id = 13");
 
   std::vector<LogRecord> records;
-  a.txns().redo_log().ReadFrom(0, SIZE_MAX, &records);
+  ASSERT_TRUE(a.txns().redo_log().ReadFrom(0, SIZE_MAX, &records).ok());
 
   Database b;
   replication::LogApplier applier(&b, /*append_to_local_log=*/true);
@@ -305,7 +307,10 @@ TEST(MvccCheckpointTest, QuiesceFreeCheckpointDuringMigration) {
     ASSERT_TRUE(a.Commit(&s).ok());
   }
 
-  // Mid-migration capture succeeds.
+  // Mid-migration capture succeeds. The pin keeps the suffix past the
+  // capture's offset (which is at or past the pin) readable below.
+  RedoLog::RetentionPin pin =
+      a.txns().redo_log().Pin(a.txns().redo_log().end_lsn());
   std::string blob;
   ASSERT_TRUE(replication::CaptureCheckpoint(&a, &blob).ok());
 
@@ -330,7 +335,7 @@ TEST(MvccCheckpointTest, QuiesceFreeCheckpointDuringMigration) {
   // Ship the WAL suffix past the checkpoint offset, then let the restored
   // node own its half-done migration again (restart-as-primary path).
   std::vector<LogRecord> suffix;
-  a.txns().redo_log().ReadFrom(wal_offset, SIZE_MAX, &suffix);
+  ASSERT_TRUE(a.txns().redo_log().ReadFrom(wal_offset, SIZE_MAX, &suffix).ok());
   replication::LogApplier applier(&b, /*append_to_local_log=*/true);
   ASSERT_TRUE(applier.Apply(std::move(suffix)).ok());
   ASSERT_TRUE(b.controller().RecoverFromRedoLog().ok());

@@ -211,6 +211,36 @@ TEST(MetricsRegistryTest, WalGroupCommitFamiliesRender) {
   EXPECT_DOUBLE_EQ(MetricValue(out, "bullfrog_wal_sync_seconds_count"), 2.0);
 }
 
+TEST(MetricsRegistryTest, WalRetentionGaugesTrackPins) {
+  // How much log a node holds and who pins it: with no pin every commit
+  // is dropped at once; a pin keeps [pin, end) and shows in the count.
+  MetricsRegistry reg;
+  RedoLog log;
+  log.BindMetrics(&reg);
+  LogRecord r;
+  r.op = LogOp::kInsert;
+  r.table = "t";
+  ASSERT_TRUE(log.AppendCommitted(1, {r}).ok());
+  std::string out = reg.RenderPrometheus();
+  EXPECT_DOUBLE_EQ(MetricValue(out, "bullfrog_wal_retained_records"), 0.0);
+  EXPECT_DOUBLE_EQ(MetricValue(out, "bullfrog_wal_base_lsn"), 2.0);
+  EXPECT_DOUBLE_EQ(MetricValue(out, "bullfrog_wal_end_lsn"), 2.0);
+  EXPECT_DOUBLE_EQ(MetricValue(out, "bullfrog_wal_pins"), 0.0);
+  {
+    RedoLog::RetentionPin pin = log.Pin(log.end_lsn());
+    ASSERT_TRUE(log.AppendCommitted(2, {r}).ok());
+    out = reg.RenderPrometheus();
+    EXPECT_DOUBLE_EQ(MetricValue(out, "bullfrog_wal_retained_records"), 2.0);
+    EXPECT_DOUBLE_EQ(MetricValue(out, "bullfrog_wal_base_lsn"), 2.0);
+    EXPECT_DOUBLE_EQ(MetricValue(out, "bullfrog_wal_end_lsn"), 4.0);
+    EXPECT_DOUBLE_EQ(MetricValue(out, "bullfrog_wal_pins"), 1.0);
+  }
+  out = reg.RenderPrometheus();
+  EXPECT_DOUBLE_EQ(MetricValue(out, "bullfrog_wal_retained_records"), 0.0);
+  EXPECT_DOUBLE_EQ(MetricValue(out, "bullfrog_wal_base_lsn"), 4.0);
+  EXPECT_DOUBLE_EQ(MetricValue(out, "bullfrog_wal_pins"), 0.0);
+}
+
 TEST(MigrationTracerTest, RecordsOldestFirstAndRenders) {
   MigrationTracer tracer(/*capacity=*/8);
   tracer.Record(TraceEventKind::kSubmit, "users_v2", "strategy=lazy");

@@ -9,6 +9,7 @@
 
 #include <atomic>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -259,16 +260,16 @@ TEST(WalDirTest, RecoveryIdenticalWithAndWithoutCheckpoint) {
     Database r;
     WalDir wal;
     ASSERT_TRUE(wal.Open(dir_ckpt).ok());
-    ASSERT_TRUE(wal.Recover(&r).ok());
-    EXPECT_EQ(wal.base(), ckpt_offset);
+    ASSERT_TRUE(wal.Recover(&r, server::kReplicationLeaseMs).ok());
+    EXPECT_EQ(r.txns().redo_log().base_lsn(), ckpt_offset);
     EXPECT_EQ(DumpForDigest(&r), live_dump);
   }
   {
     Database r;
     WalDir wal;
     ASSERT_TRUE(wal.Open(dir_plain).ok());
-    ASSERT_TRUE(wal.Recover(&r).ok());
-    EXPECT_EQ(wal.base(), 0u);
+    ASSERT_TRUE(wal.Recover(&r, server::kReplicationLeaseMs).ok());
+    EXPECT_EQ(r.txns().redo_log().base_lsn(), 0u);
     EXPECT_EQ(DumpForDigest(&r), live_dump);
   }
 
@@ -353,8 +354,8 @@ TEST(WalDirTest, CorruptNewestCheckpointFallsBackToOlder) {
   Database r;
   WalDir wal;
   ASSERT_TRUE(wal.Open(dir).ok());
-  ASSERT_TRUE(wal.Recover(&r).ok());
-  EXPECT_EQ(wal.base(), real_ckpt_offset);
+  ASSERT_TRUE(wal.Recover(&r, server::kReplicationLeaseMs).ok());
+  EXPECT_EQ(r.txns().redo_log().base_lsn(), real_ckpt_offset);
   EXPECT_EQ(DumpForDigest(&r), live_dump);
   fs::remove_all(dir);
 }
@@ -384,8 +385,8 @@ TEST(WalDirTest, AllCheckpointsCorruptFallsBackToFullReplay) {
   Database r;
   WalDir wal;
   ASSERT_TRUE(wal.Open(dir).ok());
-  ASSERT_TRUE(wal.Recover(&r).ok());
-  EXPECT_EQ(wal.base(), 0u);
+  ASSERT_TRUE(wal.Recover(&r, server::kReplicationLeaseMs).ok());
+  EXPECT_EQ(r.txns().redo_log().base_lsn(), 0u);
   EXPECT_EQ(DumpForDigest(&r), live_dump);
   fs::remove_all(dir);
 }
@@ -548,6 +549,138 @@ TEST(ReplicaBootstrapTest, BacksOffUntilBusyPrimaryCompletes) {
 
   replica.Stop();
   primary.Stop();
+}
+
+std::string OffsetOf(server::Client* c) {
+  auto text = c->Admin("offset");
+  EXPECT_TRUE(text.ok()) << text.status();
+  return text.ok() ? *text : "";
+}
+
+// The primary's redo log keeps records only while a replica can read
+// them: with no replica every record is dropped at commit, a tail below
+// the retained base gets an explicit kTrimmed, and a bootstrap leases
+// the log from its checkpoint offset on.
+TEST(ReplicationRetentionTest, TailBelowBaseIsTrimmedAndBootstrapLeases) {
+  Database primary_db;
+  sql::SqlEngine engine(&primary_db);
+  RunWorkload(&engine, 1);
+  server::Server primary(&primary_db, server::ServerConfig{});
+  ASSERT_TRUE(primary.Start().ok());
+  server::Client c;
+  ASSERT_TRUE(c.Connect("127.0.0.1", primary.port()).ok());
+
+  const uint64_t end = primary_db.txns().redo_log().end_lsn();
+  ASSERT_GT(end, 0u);
+  EXPECT_EQ(OffsetOf(&c), "offset=" + std::to_string(end) +
+                              " retained_from=" + std::to_string(end));
+
+  Result<std::string> tail = c.TailLog(0, 16, 0);
+  ASSERT_FALSE(tail.ok());
+  EXPECT_TRUE(tail.status().IsTrimmed()) << tail.status();
+  EXPECT_NE(tail.status().message().find("trimmed below LSN"),
+            std::string::npos)
+      << tail.status();
+
+  // Bootstrap: the records past the checkpoint offset stay readable.
+  Result<std::string> blob = c.FetchCheckpoint();
+  ASSERT_TRUE(blob.ok()) << blob.status();
+  Result<uint64_t> offset = CheckpointOffset(*blob);
+  ASSERT_TRUE(offset.ok());
+  EXPECT_EQ(*offset, end);
+  RunWorkload(&engine, 2);
+  EXPECT_EQ(primary_db.txns().redo_log().base_lsn(), end);
+  Result<std::string> more = c.TailLog(*offset, 1 << 20, 0);
+  ASSERT_TRUE(more.ok()) << more.status();
+  EXPECT_EQ(OffsetOf(&c),
+            "offset=" + std::to_string(primary_db.txns().redo_log().end_lsn()) +
+                " retained_from=" + std::to_string(end));
+  primary.Stop();
+}
+
+// A replica whose primary goes away and comes back within the lease
+// resumes from its cursor: the lease kept every record it had not read.
+TEST(ReplicationRetentionTest, ReplicaReconnectingWithinLeaseResumes) {
+  Database primary_db;
+  sql::SqlEngine engine(&primary_db);
+  RunWorkload(&engine, 1);
+  auto primary = std::make_unique<server::Server>(&primary_db,
+                                                  server::ServerConfig{});
+  ASSERT_TRUE(primary->Start().ok());
+  const uint16_t port = primary->port();
+
+  Database replica_db;
+  ReplicaOptions ropts;
+  ropts.primary = "127.0.0.1:" + std::to_string(port);
+  ropts.bootstrap_retry_ms = 20;
+  ropts.tail_wait_ms = 50;
+  Replica replica(&replica_db, ropts);
+  ASSERT_TRUE(replica.Start().ok());
+  Stopwatch waited;
+  while (DumpForDigest(&primary_db) != DumpForDigest(&replica_db)) {
+    ASSERT_LT(waited.ElapsedSeconds(), 30.0) << replica.StatusReport();
+    Clock::SleepMillis(10);
+  }
+
+  // The primary's server goes away; its log keeps committing.
+  primary->Stop();
+  RunWorkload(&engine, 2);
+  EXPECT_LE(primary_db.txns().redo_log().base_lsn(),
+            replica.applied_offset());
+
+  server::ServerConfig again;
+  again.port = port;
+  primary = std::make_unique<server::Server>(&primary_db, again);
+  ASSERT_TRUE(primary->Start().ok());
+  while (DumpForDigest(&primary_db) != DumpForDigest(&replica_db)) {
+    ASSERT_LT(waited.ElapsedSeconds(), 60.0) << replica.StatusReport();
+    Clock::SleepMillis(10);
+  }
+  EXPECT_EQ(replica.StatusReport().find("re-bootstrap"), std::string::npos)
+      << replica.StatusReport();
+  replica.Stop();
+  primary->Stop();
+}
+
+// A replica told its cursor was trimmed stops and says it must
+// re-bootstrap, instead of retrying a gap no retry can close. The
+// primary here is replaced by a node whose log starts far past the
+// replica's cursor.
+TEST(ReplicationRetentionTest, TrimmedCursorRequiresRebootstrap) {
+  Database primary_db;
+  sql::SqlEngine engine(&primary_db);
+  RunWorkload(&engine, 1);
+  auto primary = std::make_unique<server::Server>(&primary_db,
+                                                  server::ServerConfig{});
+  ASSERT_TRUE(primary->Start().ok());
+  const uint16_t port = primary->port();
+
+  Database replica_db;
+  ReplicaOptions ropts;
+  ropts.primary = "127.0.0.1:" + std::to_string(port);
+  ropts.bootstrap_retry_ms = 20;
+  ropts.tail_wait_ms = 50;
+  Replica replica(&replica_db, ropts);
+  ASSERT_TRUE(replica.Start().ok());
+  primary->Stop();
+
+  Database elsewhere;
+  ASSERT_TRUE(elsewhere.txns().redo_log().StartAt(1u << 20).ok());
+  server::ServerConfig again;
+  again.port = port;
+  primary = std::make_unique<server::Server>(&elsewhere, again);
+  ASSERT_TRUE(primary->Start().ok());
+  Stopwatch waited;
+  while (replica.StatusReport().find("re-bootstrap required") ==
+         std::string::npos) {
+    ASSERT_LT(waited.ElapsedSeconds(), 30.0) << replica.StatusReport();
+    Clock::SleepMillis(10);
+  }
+  EXPECT_NE(replica.StatusReport().find("trimmed below LSN"),
+            std::string::npos)
+      << replica.StatusReport();
+  replica.Stop();
+  primary->Stop();
 }
 
 // Satellite: the end-to-end acceptance test. A replica bootstraps from a

@@ -271,24 +271,118 @@ TEST(TxnManagerTest, ConcurrentTransfersPreserveInvariant) {
   EXPECT_EQ(total, kAccounts * kInitial);
 }
 
-TEST(RedoLogTest, AppendAndReplayOrder) {
+TEST(RedoLogTest, AppendAndReadOrder) {
   RedoLog log;
+  RedoLog::RetentionPin pin = log.Pin(0);  // Keep what we read back.
   LogRecord r1;
   r1.op = LogOp::kInsert;
   r1.table = "t";
   r1.rid = 1;
   log.AppendCommitted(7, {r1});
+  std::vector<LogRecord> records;
+  ASSERT_TRUE(log.ReadFrom(0, SIZE_MAX, &records).ok());
   std::vector<LogOp> ops;
   std::vector<uint64_t> txns;
-  log.Replay([&](const LogRecord& r) {
+  for (const LogRecord& r : records) {
     ops.push_back(r.op);
     txns.push_back(r.txn_id);
-  });
+  }
   ASSERT_EQ(ops.size(), 2u);
   EXPECT_EQ(ops[0], LogOp::kInsert);
   EXPECT_EQ(ops[1], LogOp::kCommit);
   EXPECT_EQ(txns[0], 7u);
   EXPECT_EQ(txns[1], 7u);
+}
+
+LogRecord InsertRecord(RowId rid) {
+  LogRecord r;
+  r.op = LogOp::kInsert;
+  r.table = "t";
+  r.rid = rid;
+  return r;
+}
+
+TEST(RedoLogTest, NoPinRetainsNothing) {
+  // An embedded log with no sink, no pin and no lease keeps no records:
+  // each committed batch is dropped as soon as it is published, while
+  // the end LSN (size) keeps counting.
+  RedoLog log;
+  constexpr int kCommits = 10000;
+  for (int i = 0; i < kCommits; ++i) {
+    ASSERT_TRUE(log.AppendCommitted(1, {InsertRecord(i)}).ok());
+  }
+  EXPECT_EQ(log.end_lsn(), 2u * kCommits);
+  EXPECT_EQ(log.size(), 2u * kCommits);
+  EXPECT_EQ(log.base_lsn(), log.end_lsn());
+  std::vector<LogRecord> out;
+  EXPECT_TRUE(log.ReadFrom(log.end_lsn(), 10, &out).ok());
+  EXPECT_TRUE(out.empty());
+}
+
+TEST(RedoLogTest, PinHoldsExactlyFromPinToEnd) {
+  RedoLog log;
+  for (int i = 0; i < 5; ++i) {
+    ASSERT_TRUE(log.AppendCommitted(1, {InsertRecord(i)}).ok());
+  }
+  RedoLog::RetentionPin pin = log.Pin(log.end_lsn());
+  EXPECT_EQ(pin.lsn(), 10u);
+  for (int i = 5; i < 8; ++i) {
+    ASSERT_TRUE(log.AppendCommitted(1, {InsertRecord(i)}).ok());
+  }
+  EXPECT_EQ(log.base_lsn(), 10u);
+  EXPECT_EQ(log.end_lsn(), 16u);
+  std::vector<LogRecord> out;
+  Result<uint64_t> end = log.ReadFrom(10, SIZE_MAX, &out);
+  ASSERT_TRUE(end.ok()) << end.status();
+  EXPECT_EQ(*end, 16u);
+  ASSERT_EQ(out.size(), 6u);
+  EXPECT_EQ(out[0].rid, 5u);
+  EXPECT_EQ(out[4].rid, 7u);
+
+  // Below the base: an explicit trimmed status, not an empty read.
+  Result<uint64_t> below = log.ReadFrom(9, SIZE_MAX, &out);
+  ASSERT_FALSE(below.ok());
+  EXPECT_TRUE(below.status().IsTrimmed()) << below.status();
+  EXPECT_NE(below.status().message().find("trimmed below LSN 10"),
+            std::string::npos)
+      << below.status();
+
+  // A pin below the base clamps to it; advancing releases the prefix.
+  RedoLog::RetentionPin low = log.Pin(0);
+  EXPECT_EQ(low.lsn(), 10u);
+  low.Advance(14);
+  pin.Advance(12);
+  EXPECT_EQ(log.base_lsn(), 12u);
+  pin.Release();
+  EXPECT_EQ(log.base_lsn(), 14u);
+  low.Release();
+  EXPECT_EQ(log.base_lsn(), log.end_lsn());
+}
+
+TEST(RedoLogTest, LeaseLapsesAfterItsPeriod) {
+  RedoLog log;
+  const uint64_t holder = log.NewLeaseHolder();
+  log.Lease(holder, 0, /*period_ms=*/60000);
+  ASSERT_TRUE(log.AppendCommitted(1, {InsertRecord(1)}).ok());
+  EXPECT_EQ(log.base_lsn(), 0u);
+  // A refresh replaces the holder's LSN and period: a lease that lapses
+  // at once no longer retains anything at the next trim.
+  log.Lease(holder, 1, /*period_ms=*/0);
+  ASSERT_TRUE(log.AppendCommitted(1, {InsertRecord(2)}).ok());
+  EXPECT_EQ(log.base_lsn(), log.end_lsn());
+}
+
+TEST(RedoLogTest, StartAtContinuesAnLsnSpace) {
+  RedoLog log;
+  ASSERT_TRUE(log.StartAt(100).ok());
+  EXPECT_EQ(log.base_lsn(), 100u);
+  RedoLog::RetentionPin pin = log.Pin(100);
+  ASSERT_TRUE(log.AppendCommitted(1, {InsertRecord(1)}).ok());
+  EXPECT_EQ(log.end_lsn(), 102u);
+  std::vector<LogRecord> out;
+  ASSERT_TRUE(log.ReadFrom(100, SIZE_MAX, &out).ok());
+  EXPECT_EQ(out.size(), 2u);
+  EXPECT_FALSE(log.StartAt(5).ok());
 }
 
 TEST(RedoLogTest, EmptyCommitSkipsSinkAndCommitRecord) {
@@ -375,11 +469,12 @@ TEST(RedoLogTest, LsnOrderedAcksUnderConcurrentCommitters) {
 
 TEST(RedoLogTest, ReadersDoNotBlockWhileSinkIsSyncing) {
   // Regression for the PR-5 behavior where the sink ran under the log
-  // mutex: a slow fsync stalled every ReadFrom/Replay/size caller
+  // mutex: a slow fsync stalled every ReadFrom/size caller
   // (replication tails, recovery). Here the sink parks mid-"fsync" and
   // readers must still complete — and must NOT see the in-flight records
   // (publish-after-durable).
   RedoLog log;
+  RedoLog::RetentionPin pin = log.Pin(0);
   std::mutex gate_mu;
   std::condition_variable gate_cv;
   bool in_sink = false;
@@ -405,12 +500,11 @@ TEST(RedoLogTest, ReadersDoNotBlockWhileSinkIsSyncing) {
   // The sink is parked mid-sync. Readers must return promptly and see an
   // empty log (the batch is not durable yet, so it is not visible).
   std::vector<LogRecord> out;
-  EXPECT_EQ(log.ReadFrom(0, 100, &out), 0u);
+  Result<uint64_t> end = log.ReadFrom(0, 100, &out);
+  ASSERT_TRUE(end.ok());
+  EXPECT_EQ(*end, 0u);
   EXPECT_TRUE(out.empty());
   EXPECT_EQ(log.size(), 0u);
-  size_t replayed = 0;
-  log.Replay([&](const LogRecord&) { ++replayed; });
-  EXPECT_EQ(replayed, 0u);
 
   {
     std::lock_guard lock(gate_mu);
@@ -494,6 +588,41 @@ TEST(RecoveryTest, UnknownTrackerIdsSkipped) {
   FakeTarget target;
   RecoverTrackerState(log, {{"other", &target}});
   EXPECT_TRUE(target.keys.empty());
+}
+
+TEST(RecoveryTest, RawMarksCountOnlyOnceTheirCommitArrives) {
+  // WAL replay and replica apply hand the log records that may split a
+  // transaction across calls: marks wait for their commit record, and a
+  // transaction that never commits contributes none.
+  RedoLog log;
+  LogRecord mark;
+  mark.op = LogOp::kMigrationMark;
+  mark.table = "tr";
+  mark.txn_id = 5;
+  mark.after = Tuple{Value::Int(1)};
+  LogRecord torn = mark;
+  torn.txn_id = 6;
+  torn.after = Tuple{Value::Int(2)};
+  log.AppendRaw({mark, torn});
+  FakeTarget target;
+  RecoverTrackerState(log, {{"tr", &target}});
+  EXPECT_TRUE(target.keys.empty());
+
+  LogRecord commit;
+  commit.op = LogOp::kCommit;
+  commit.txn_id = 5;
+  log.AppendRaw({commit});
+  RecoverTrackerState(log, {{"tr", &target}});
+  ASSERT_EQ(target.keys.size(), 1u);
+  EXPECT_EQ(target.keys[0][0].AsInt(), 1);
+  // Nothing retains the row images; the marks list is independent.
+  EXPECT_EQ(log.base_lsn(), log.end_lsn());
+
+  // A pruned migration's marks are dropped.
+  log.DropMarks("tr");
+  FakeTarget after_drop;
+  RecoverTrackerState(log, {{"tr", &after_drop}});
+  EXPECT_TRUE(after_drop.keys.empty());
 }
 
 TEST(RecoveryTest, MigrationMarksRecordedOnlyOnCommit) {
