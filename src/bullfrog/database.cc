@@ -1,5 +1,6 @@
 #include "bullfrog/database.h"
 
+#include <algorithm>
 #include <cstdio>
 
 #include "catalog/schema_codec.h"
@@ -21,12 +22,19 @@ Status TracedPrepare(const std::string& table, Fn&& fn) {
   obs::TraceContext* trace = obs::CurrentTrace();
   if (trace == nullptr) return fn();
   uint64_t before = trace->StageCount(obs::Stage::kMigratePull);
+  int64_t waited_before = trace->StageNanos(obs::Stage::kMigrateWait);
   int64_t start = Clock::NowNanos();
   Status s = fn();
   uint64_t pulled = trace->StageCount(obs::Stage::kMigratePull) - before;
   if (pulled > 0) {
     int64_t dur = Clock::NowNanos() - start;
-    trace->AddStage(obs::Stage::kMigratePull, dur, 0);
+    // SKIP-recheck sleeps inside the call are already migrate_wait time.
+    // A sharded fan-out adds other shards' waits to the same trace
+    // meanwhile, so the difference can exceed this call's duration.
+    int64_t waited =
+        trace->StageNanos(obs::Stage::kMigrateWait) - waited_before;
+    trace->AddStage(obs::Stage::kMigratePull,
+                    std::max<int64_t>(0, dur - waited), 0);
     char detail[160];
     std::snprintf(detail, sizeof(detail), "table=%s units=%llu",
                   table.c_str(), static_cast<unsigned long long>(pulled));

@@ -55,17 +55,20 @@ struct LazyConfig {
   /// Background migration (§2.2).
   int background_threads = 2;
   int64_t background_start_delay_ms = 2000;
-  /// Units (granules/groups) per background transaction.
+  /// Units (granules/groups) per background chunk. A chunk commits in
+  /// migration transactions of at most StatementMigrator::
+  /// kRowsPerMigrationTxn source rows each (one unit may exceed it).
   uint64_t background_batch = 64;
   /// Sleep between background batches (pacing, so background work does not
   /// starve foreground transactions).
   int64_t background_pause_us = 200;
 
-  /// Invoked for every row a migration inserts into an output table
-  /// (table name, row). The controller wires this to its FOREIGN KEY
-  /// checker, producing the §4.5 effect: constraints declared on the new
-  /// schema force extra reads (and possibly extra migrations) per migrated
-  /// row. Null = no constraint checking during migration.
+  /// Invoked for every row a migration inserts into an output table that
+  /// declares a FOREIGN KEY (table name, row). The controller wires this to
+  /// its FOREIGN KEY checker, producing the §4.5 effect: constraints
+  /// declared on the new schema force extra reads (and possibly extra
+  /// migrations) per migrated row. Null = no constraint checking during
+  /// migration.
   std::function<Status(const std::string&, const Tuple&)> constraint_hook;
 };
 

@@ -1,7 +1,6 @@
 #include "migration/statement_migrator.h"
 
 #include <algorithm>
-#include <mutex>
 #include <unordered_set>
 
 #include "common/clock.h"
@@ -24,14 +23,48 @@ class TupleSet {
   std::unordered_set<Tuple, TupleHasher> set_;
 };
 
+// The per-tracker calls of MigrateUnits that differ by name or key type.
+void ResetClaim(BitmapTracker* tracker, uint64_t g) {
+  tracker->ResetAborted(g);
+}
+void ResetClaim(HashTracker* tracker, const Tuple& key) {
+  tracker->MarkAborted(key);
+}
+Tuple MarkKey(uint64_t g) { return Tuple{Value::Int(static_cast<int64_t>(g))}; }
+const Tuple& MarkKey(const Tuple& key) { return key; }
+
 }  // namespace
 
-Result<Table*> StatementMigrator::OutputTable(size_t output_index) const {
-  if (output_index >= stmt_.output_tables.size()) {
-    return Status::Internal("bad output index in statement '" + stmt_.name +
-                            "'");
+StatementMigrator::StatementMigrator(Catalog* catalog,
+                                     TransactionManager* txns,
+                                     MigrationStatement stmt,
+                                     LazyConfig config)
+    : catalog_(catalog),
+      txns_(txns),
+      stmt_(std::move(stmt)),
+      config_(std::move(config)) {
+  // The §4.5 hook costs a catalog lookup per migrated row; a table with no
+  // FOREIGN KEY has nothing for it to check. An output table missing here
+  // keeps the hook.
+  for (const std::string& name : stmt_.output_tables) {
+    const Table* t = catalog_ != nullptr ? catalog_->FindTable(name) : nullptr;
+    output_has_fk_.push_back(t == nullptr ||
+                             !t->schema().foreign_keys().empty());
   }
-  return catalog_->RequireActive(stmt_.output_tables[output_index]);
+}
+
+Result<StatementMigrator::TxnTables> StatementMigrator::ResolveTables()
+    const {
+  TxnTables tables;
+  for (size_t i = 0; i < stmt_.input_tables.size(); ++i) {
+    BF_ASSIGN_OR_RETURN(Table * t, InputTable(i));
+    tables.inputs.push_back(t);
+  }
+  for (const std::string& name : stmt_.output_tables) {
+    BF_ASSIGN_OR_RETURN(Table * t, catalog_->RequireActive(name));
+    tables.outputs.push_back(t);
+  }
+  return tables;
 }
 
 Result<Table*> StatementMigrator::InputTable(size_t input_index) const {
@@ -40,6 +73,151 @@ Result<Table*> StatementMigrator::InputTable(size_t input_index) const {
                             "'");
   }
   return catalog_->RequireReadable(stmt_.input_tables[input_index]);
+}
+
+Status StatementMigrator::Emit(Transaction* txn, const TxnTables& tables,
+                               const std::vector<TargetRow>& targets) {
+  const OnConflict policy =
+      config_.duplicate_detection == DuplicateDetection::kOnConflictClause
+          ? OnConflict::kDoNothing
+          : OnConflict::kError;
+  for (const TargetRow& t : targets) {
+    if (config_.constraint_hook && output_has_fk_[t.output_index]) {
+      BF_RETURN_NOT_OK(
+          config_.constraint_hook(stmt_.output_tables[t.output_index], t.row));
+    }
+    BF_ASSIGN_OR_RETURN(
+        InsertOutcome outcome,
+        txns_->Insert(txn, tables.outputs[t.output_index], t.row, policy));
+    if (!outcome.inserted) {
+      stats_.duplicate_inserts_discarded.fetch_add(1,
+                                                   std::memory_order_relaxed);
+    }
+  }
+  stats_.rows_emitted.fetch_add(targets.size(), std::memory_order_relaxed);
+  return Status::OK();
+}
+
+template <typename Tracker, typename Unit, typename MigrateOne>
+Status StatementMigrator::MigrateUnits(Tracker* tracker,
+                                       std::vector<Unit> units,
+                                       bool wait_for_skipped,
+                                       MigrateOne migrate_one) {
+  // Fig 9 ablation: no tracker at all — the workload guarantees
+  // exactly-once coverage. §3.7 ON CONFLICT mode: no lock bits; the output
+  // tables' unique indexes discard duplicates, and the commit still sets
+  // the migrate bit so the fast path keeps working.
+  if (!config_.maintain_tracker) tracker = nullptr;
+  const bool claims = tracker != nullptr && config_.duplicate_detection ==
+                                                DuplicateDetection::kTracker;
+  const bool forced = tracker != nullptr && !claims;
+  TxnTables tables;
+  Stopwatch waited;
+  int attempts = 0;
+  std::vector<Unit> pending = std::move(units);
+  std::vector<Unit> skip;
+  std::unique_ptr<Transaction> txn;
+  std::shared_ptr<std::vector<Unit>> claimed;  // The open txn's units.
+  uint64_t rows = 0;  // Source rows the open txn has read.
+  // Ends the open migration transaction. Its hooks flip the claimed units
+  // to migrated on commit (Algorithm 1 line 9) or reset them on abort
+  // (§3.5); a retryable failure retries them with the SKIP list.
+  auto finish = [&](Status s) -> Status {
+    if (s.ok()) {
+      s = txns_->Commit(txn.get());
+    } else if (txn->state() == TxnState::kActive) {
+      (void)txns_->Abort(txn.get());
+    }
+    txn.reset();
+    if (s.ok()) {
+      CountUnits(claimed->size(), wait_for_skipped, forced);
+      stats_.rows_migrated.fetch_add(rows, std::memory_order_relaxed);
+    } else {
+      stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
+      if (!s.IsRetryable() || attempts >= config_.retry_limit) return s;
+      ++attempts;
+      stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
+      skip.insert(skip.end(), claimed->begin(), claimed->end());
+    }
+    claimed.reset();
+    rows = 0;
+    return Status::OK();
+  };
+  while (!pending.empty()) {
+    skip.clear();
+    for (Unit& u : pending) {
+      if (tracker != nullptr && tracker->IsMigrated(u)) {
+        stats_.already_migrated_hits.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      if (tables.outputs.empty()) {
+        BF_ASSIGN_OR_RETURN(tables, ResolveTables());
+      }
+      const AcquireResult claim =
+          claims ? tracker->TryAcquire(u) : AcquireResult::kAcquired;
+      if (claim == AcquireResult::kInProgress) {
+        stats_.skip_encounters.fetch_add(1, std::memory_order_relaxed);
+        skip.push_back(std::move(u));
+        continue;
+      }
+      if (claim == AcquireResult::kAlreadyMigrated) {
+        stats_.already_migrated_hits.fetch_add(1, std::memory_order_relaxed);
+        continue;
+      }
+      if (txn == nullptr) {
+        txn = txns_->Begin();
+        claimed = std::make_shared<std::vector<Unit>>();
+        if (tracker != nullptr) {
+          txn->OnCommit([tracker, claimed, forced] {
+            for (const Unit& c : *claimed) {
+              if (forced) {
+                tracker->ForceMigrated(c);
+              } else {
+                tracker->MarkMigrated(c);
+              }
+            }
+          });
+        }
+        if (claims) {
+          txn->OnAbort([tracker, claimed] {
+            for (const Unit& c : *claimed) ResetClaim(tracker, c);
+          });
+        }
+      }
+      claimed->push_back(u);
+      Result<uint64_t> read = migrate_one(txn.get(), tables, u);
+      if (read.ok()) {
+        if (tracker != nullptr) {
+          txns_->LogMigrationMark(txn.get(), tracker->id(), MarkKey(u));
+        }
+        rows += *read;
+        if (rows < kRowsPerMigrationTxn) continue;
+      }
+      BF_RETURN_NOT_OK(finish(read.status()));
+    }
+    if (txn != nullptr) BF_RETURN_NOT_OK(finish(Status::OK()));
+
+    // Algorithm 1 line 10: re-check skipped units until their owners
+    // migrate them (or abort and we take over). Background mode never
+    // waits.
+    if (skip.empty() || !wait_for_skipped) break;
+    pending.clear();
+    for (Unit& u : skip) {
+      if (tracker == nullptr || !tracker->IsMigrated(u)) {
+        pending.push_back(std::move(u));
+      }
+    }
+    if (pending.empty()) break;
+    stats_.skip_wait_loops.fetch_add(1, std::memory_order_relaxed);
+    if (config_.wait_on_skip && config_.skip_recheck_us > 0) {
+      SkipRecheckSleep();
+    }
+    if (waited.ElapsedMillis() > config_.skip_timeout_ms) {
+      return Status::TimedOut("skipped units not migrated in time in '" +
+                              stmt_.name + "'");
+    }
+  }
+  return Status::OK();
 }
 
 Status StatementMigrator::MigrateForPredicate(const ExprPtr& new_schema_pred) {
@@ -83,177 +261,30 @@ Status ProjectionMigrator::MigrateCandidates(const RewrittenPredicates& preds) {
     return true;
   });
   BF_RETURN_NOT_OK(scan.status());
-  if (granules.empty()) return Status::OK();
-
-  // Fast path: if everything relevant is already migrated, the request can
-  // run on the new schema immediately.
-  std::vector<uint64_t> todo;
-  for (uint64_t g : granules) {
-    if (!config_.maintain_tracker || !tracker_->IsMigrated(g)) {
-      todo.push_back(g);
-    } else {
-      stats_.already_migrated_hits.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-  if (todo.empty()) return Status::OK();
-  return MigrateGranules(std::move(todo), /*wait_for_skipped=*/true);
-}
-
-Status ProjectionMigrator::MigrateWipGranules(
-    Transaction* txn, const std::vector<uint64_t>& wip) {
-  BF_ASSIGN_OR_RETURN(Table * input, InputTable(0));
-  std::vector<Table*> outs(stmt_.output_tables.size());
-  for (size_t i = 0; i < outs.size(); ++i) {
-    BF_ASSIGN_OR_RETURN(outs[i], OutputTable(i));
-  }
-  const OnConflict policy = InsertPolicy();
-  for (uint64_t g : wip) {
-    const RowId begin = tracker_->GranuleBegin(g);
-    const RowId end = tracker_->GranuleEnd(g);
-    for (RowId rid = begin; rid < end; ++rid) {
-      Tuple row;
-      if (!input->Read(rid, &row).ok()) continue;  // Tombstone.
-      BF_ASSIGN_OR_RETURN(std::vector<TargetRow> targets,
-                          stmt_.row_transform(row));
-      for (TargetRow& t : targets) {
-        BF_RETURN_NOT_OK(CheckConstraints(t.output_index, t.row));
-        auto outcome = txns_->Insert(txn, outs[t.output_index], t.row, policy);
-        if (!outcome.ok()) return outcome.status();
-        if (!outcome->inserted) {
-          stats_.duplicate_inserts_discarded.fetch_add(
-              1, std::memory_order_relaxed);
-        }
-      }
-      stats_.rows_migrated.fetch_add(1, std::memory_order_relaxed);
-      stats_.rows_emitted.fetch_add(targets.size(),
-                                    std::memory_order_relaxed);
-    }
-    if (config_.maintain_tracker) {
-      txns_->LogMigrationMark(txn, tracker_->id(),
-                              Tuple{Value::Int(static_cast<int64_t>(g))});
-    }
-  }
-  return Status::OK();
+  return MigrateGranules(
+      std::vector<uint64_t>(granules.begin(), granules.end()),
+      /*wait_for_skipped=*/true);
 }
 
 Status ProjectionMigrator::MigrateGranules(std::vector<uint64_t> granules,
                                            bool wait_for_skipped) {
-  if (granules.empty()) return Status::OK();
-
-  // Fig 9 ablation: no tracking at all — the workload guarantees
-  // exactly-once coverage.
-  if (!config_.maintain_tracker) {
-    auto txn = txns_->Begin();
-    Status s = MigrateWipGranules(txn.get(), granules);
-    if (!s.ok()) {
-      (void)txns_->Abort(txn.get());
-      return s;
-    }
-    CountUnits(granules.size(), wait_for_skipped, /*forced=*/false);
-    return txns_->Commit(txn.get());
-  }
-
-  // §3.7 ON CONFLICT mode: no lock bits; duplicates are discarded by the
-  // unique indexes of the output tables at insert time. The migrate bit is
-  // still set post-commit so the fast path keeps working.
-  if (config_.duplicate_detection == DuplicateDetection::kOnConflictClause) {
-    std::vector<uint64_t> todo;
-    for (uint64_t g : granules) {
-      if (!tracker_->IsMigrated(g)) todo.push_back(g);
-    }
-    if (todo.empty()) return Status::OK();
-    for (int attempt = 0;; ++attempt) {
-      auto txn = txns_->Begin();
-      BitmapTracker* tracker = tracker_.get();
-      std::vector<uint64_t> wip = todo;
-      txn->OnCommit([tracker, wip] {
-        for (uint64_t g : wip) tracker->ForceMigrated(g);
-      });
-      Status s = MigrateWipGranules(txn.get(), todo);
-      if (s.ok()) {
-        BF_RETURN_NOT_OK(txns_->Commit(txn.get()));
-        CountUnits(todo.size(), wait_for_skipped, /*forced=*/true);
-        return Status::OK();
-      }
-      (void)txns_->Abort(txn.get());
-      stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-      if (!s.IsRetryable() || attempt >= config_.retry_limit) return s;
-      stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
   // Algorithm 1, bitmap flavour (Algorithm 2 inside TryAcquire).
-  Stopwatch waited;
-  std::vector<uint64_t> pending = std::move(granules);
-  int attempts = 0;
-  while (!pending.empty()) {
-    std::vector<uint64_t> wip;
-    std::vector<uint64_t> skip;
-    for (uint64_t g : pending) {
-      switch (tracker_->TryAcquire(g)) {
-        case AcquireResult::kAcquired:
-          wip.push_back(g);
-          break;
-        case AcquireResult::kInProgress:
-          skip.push_back(g);
-          stats_.skip_encounters.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case AcquireResult::kAlreadyMigrated:
-          stats_.already_migrated_hits.fetch_add(1,
-                                                 std::memory_order_relaxed);
-          break;
-      }
-    }
-
-    if (!wip.empty()) {
-      auto txn = txns_->Begin();
-      BitmapTracker* tracker = tracker_.get();
-      // §3.5: if this migration transaction aborts, reset every WIP unit
-      // to [0 0] so waiting workers can take over.
-      txn->OnAbort([tracker, wip] {
-        for (uint64_t g : wip) tracker->ResetAborted(g);
+  return MigrateUnits(
+      tracker_.get(), std::move(granules), wait_for_skipped,
+      [this](Transaction* txn, const TxnTables& tables,
+             uint64_t g) -> Result<uint64_t> {
+        uint64_t read = 0;
+        const RowId end = tracker_->GranuleEnd(g);
+        for (RowId rid = tracker_->GranuleBegin(g); rid < end; ++rid) {
+          Tuple row;
+          if (!tables.inputs[0]->Read(rid, &row).ok()) continue;  // Tombstone.
+          BF_ASSIGN_OR_RETURN(std::vector<TargetRow> targets,
+                              stmt_.row_transform(row));
+          BF_RETURN_NOT_OK(Emit(txn, tables, targets));
+          ++read;
+        }
+        return read;
       });
-      // Algorithm 1 line 9: after the transaction ends, flip WIP units to
-      // migrated.
-      txn->OnCommit([tracker, wip] {
-        for (uint64_t g : wip) tracker->MarkMigrated(g);
-      });
-      Status s = MigrateWipGranules(txn.get(), wip);
-      if (s.ok()) s = txns_->Commit(txn.get());
-      if (!s.ok()) {
-        if (txn->state() == TxnState::kActive) (void)txns_->Abort(txn.get());
-        stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-        if (!s.IsRetryable() || attempts >= config_.retry_limit) return s;
-        ++attempts;
-        stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
-        // The WIP units were reset by the abort hook; retry them together
-        // with the skipped ones.
-        for (uint64_t g : wip) skip.push_back(g);
-      } else {
-        CountUnits(wip.size(), wait_for_skipped, /*forced=*/false);
-      }
-    }
-
-    // Algorithm 1 line 10: re-check skipped units until they are migrated
-    // by their owners (or the owners abort and we take over).
-    if (skip.empty()) break;
-    if (!wait_for_skipped) break;  // Background mode never blocks.
-    std::vector<uint64_t> still;
-    for (uint64_t g : skip) {
-      if (!tracker_->IsMigrated(g)) still.push_back(g);
-    }
-    pending = std::move(still);
-    if (pending.empty()) break;
-    stats_.skip_wait_loops.fetch_add(1, std::memory_order_relaxed);
-    if (config_.wait_on_skip && config_.skip_recheck_us > 0) {
-      SkipRecheckSleep();
-    }
-    if (waited.ElapsedMillis() > config_.skip_timeout_ms) {
-      return Status::TimedOut("skipped units not migrated in time in '" +
-                              stmt_.name + "'");
-    }
-  }
-  return Status::OK();
 }
 
 Result<uint64_t> ProjectionMigrator::MigrateBackgroundChunk(uint64_t max_units,
@@ -328,8 +359,7 @@ Tuple AggregateMigrator::GroupKeyOf(const Tuple& row) const {
 }
 
 Result<std::vector<Tuple>> AggregateMigrator::CollectGroup(
-    const Tuple& key) const {
-  BF_ASSIGN_OR_RETURN(Table * input, InputTable(0));
+    Table* input, const Tuple& key) const {
   std::vector<Tuple> rows;
   Index* index = input->FindIndexCoveredBy(key_indices_);
   // Only use an index whose key is exactly the group key.
@@ -362,142 +392,22 @@ Status AggregateMigrator::MigrateCandidates(const RewrittenPredicates& preds) {
   return MigrateGroups(keys.Take(), /*wait_for_skipped=*/true);
 }
 
-Status AggregateMigrator::MigrateWipGroups(Transaction* txn,
-                                           const std::vector<Tuple>& wip) {
-  std::vector<Table*> outs(stmt_.output_tables.size());
-  for (size_t i = 0; i < outs.size(); ++i) {
-    BF_ASSIGN_OR_RETURN(outs[i], OutputTable(i));
-  }
-  const OnConflict policy = InsertPolicy();
-  for (const Tuple& key : wip) {
-    BF_ASSIGN_OR_RETURN(std::vector<Tuple> rows, CollectGroup(key));
-    BF_ASSIGN_OR_RETURN(std::vector<TargetRow> targets,
-                        stmt_.group_transform(key, rows));
-    for (TargetRow& t : targets) {
-      BF_RETURN_NOT_OK(CheckConstraints(t.output_index, t.row));
-      auto outcome = txns_->Insert(txn, outs[t.output_index], t.row, policy);
-      if (!outcome.ok()) return outcome.status();
-      if (!outcome->inserted) {
-        stats_.duplicate_inserts_discarded.fetch_add(
-            1, std::memory_order_relaxed);
-      }
-    }
-    stats_.rows_migrated.fetch_add(rows.size(), std::memory_order_relaxed);
-    stats_.rows_emitted.fetch_add(targets.size(), std::memory_order_relaxed);
-    if (config_.maintain_tracker) {
-      txns_->LogMigrationMark(txn, tracker_->id(), key);
-    }
-  }
-  return Status::OK();
-}
-
 Status AggregateMigrator::MigrateGroups(std::vector<Tuple> keys,
                                         bool wait_for_skipped) {
-  if (keys.empty()) return Status::OK();
-
-  if (!config_.maintain_tracker) {
-    auto txn = txns_->Begin();
-    Status s = MigrateWipGroups(txn.get(), keys);
-    if (!s.ok()) {
-      (void)txns_->Abort(txn.get());
-      return s;
-    }
-    CountUnits(keys.size(), wait_for_skipped, /*forced=*/false);
-    return txns_->Commit(txn.get());
-  }
-
-  if (config_.duplicate_detection == DuplicateDetection::kOnConflictClause) {
-    std::vector<Tuple> todo;
-    for (const Tuple& k : keys) {
-      if (!tracker_->IsMigrated(k)) todo.push_back(k);
-    }
-    if (todo.empty()) return Status::OK();
-    for (int attempt = 0;; ++attempt) {
-      auto txn = txns_->Begin();
-      HashTracker* tracker = tracker_.get();
-      std::vector<Tuple> wip = todo;
-      txn->OnCommit([tracker, wip] {
-        for (const Tuple& k : wip) tracker->ForceMigrated(k);
-      });
-      Status s = MigrateWipGroups(txn.get(), todo);
-      if (s.ok()) {
-        BF_RETURN_NOT_OK(txns_->Commit(txn.get()));
-        CountUnits(todo.size(), wait_for_skipped, /*forced=*/true);
-        return Status::OK();
-      }
-      (void)txns_->Abort(txn.get());
-      stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-      if (!s.IsRetryable() || attempt >= config_.retry_limit) return s;
-      stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
   // Algorithm 1 with Algorithm 3 inside TryAcquire. The WIP/SKIP
   // short-circuits of Algorithm 3 lines 2-3 are realized by deduplicating
   // the key set up front (same-worker duplicates collapse to one entry).
-  Stopwatch waited;
-  std::vector<Tuple> pending = std::move(keys);
-  int attempts = 0;
-  while (!pending.empty()) {
-    std::vector<Tuple> wip;
-    std::vector<Tuple> skip;
-    for (const Tuple& k : pending) {
-      switch (tracker_->TryAcquire(k)) {
-        case AcquireResult::kAcquired:
-          wip.push_back(k);
-          break;
-        case AcquireResult::kInProgress:
-          skip.push_back(k);
-          stats_.skip_encounters.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case AcquireResult::kAlreadyMigrated:
-          stats_.already_migrated_hits.fetch_add(1,
-                                                 std::memory_order_relaxed);
-          break;
-      }
-    }
-
-    if (!wip.empty()) {
-      auto txn = txns_->Begin();
-      HashTracker* tracker = tracker_.get();
-      txn->OnAbort([tracker, wip] {
-        for (const Tuple& k : wip) tracker->MarkAborted(k);
+  return MigrateUnits(
+      tracker_.get(), std::move(keys), wait_for_skipped,
+      [this](Transaction* txn, const TxnTables& tables,
+             const Tuple& key) -> Result<uint64_t> {
+        BF_ASSIGN_OR_RETURN(std::vector<Tuple> rows,
+                            CollectGroup(tables.inputs[0], key));
+        BF_ASSIGN_OR_RETURN(std::vector<TargetRow> targets,
+                            stmt_.group_transform(key, rows));
+        BF_RETURN_NOT_OK(Emit(txn, tables, targets));
+        return static_cast<uint64_t>(rows.size());
       });
-      txn->OnCommit([tracker, wip] {
-        for (const Tuple& k : wip) tracker->MarkMigrated(k);
-      });
-      Status s = MigrateWipGroups(txn.get(), wip);
-      if (s.ok()) s = txns_->Commit(txn.get());
-      if (!s.ok()) {
-        if (txn->state() == TxnState::kActive) (void)txns_->Abort(txn.get());
-        stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-        if (!s.IsRetryable() || attempts >= config_.retry_limit) return s;
-        ++attempts;
-        stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
-        for (Tuple& k : wip) skip.push_back(std::move(k));
-      } else {
-        CountUnits(wip.size(), wait_for_skipped, /*forced=*/false);
-      }
-    }
-
-    if (skip.empty()) break;
-    if (!wait_for_skipped) break;
-    std::vector<Tuple> still;
-    for (Tuple& k : skip) {
-      if (!tracker_->IsMigrated(k)) still.push_back(std::move(k));
-    }
-    pending = std::move(still);
-    if (pending.empty()) break;
-    stats_.skip_wait_loops.fetch_add(1, std::memory_order_relaxed);
-    if (config_.wait_on_skip && config_.skip_recheck_us > 0) {
-      SkipRecheckSleep();
-    }
-    if (waited.ElapsedMillis() > config_.skip_timeout_ms) {
-      return Status::TimedOut("skipped groups not migrated in time in '" +
-                              stmt_.name + "'");
-    }
-  }
-  return Status::OK();
 }
 
 Result<uint64_t> AggregateMigrator::MigrateBackgroundChunk(uint64_t max_units,
@@ -727,145 +637,27 @@ Status JoinMigrator::MigrateCandidates(const RewrittenPredicates& preds) {
       /*wait_for_skipped=*/true);
 }
 
-Status JoinMigrator::MigrateWipKeys(Transaction* txn,
-                                    const std::vector<Tuple>& wip) {
-  BF_ASSIGN_OR_RETURN(Table * left, InputTable(0));
-  BF_ASSIGN_OR_RETURN(Table * right, InputTable(1));
-  std::vector<Table*> outs(stmt_.output_tables.size());
-  for (size_t i = 0; i < outs.size(); ++i) {
-    BF_ASSIGN_OR_RETURN(outs[i], OutputTable(i));
-  }
-  const OnConflict policy = InsertPolicy();
-  for (const Tuple& key : wip) {
-    BF_ASSIGN_OR_RETURN(
-        std::vector<Tuple> lefts,
-        MatchingRows(left, left_key_index_, key[0], left_boundary_));
-    BF_ASSIGN_OR_RETURN(
-        std::vector<Tuple> rights,
-        MatchingRows(right, right_key_index_, key[0], right_boundary_));
-    for (const Tuple& l : lefts) {
-      for (const Tuple& r : rights) {
-        BF_ASSIGN_OR_RETURN(std::vector<TargetRow> targets,
-                            stmt_.join_transform(l, r));
-        for (TargetRow& t : targets) {
-          BF_RETURN_NOT_OK(CheckConstraints(t.output_index, t.row));
-          auto outcome =
-              txns_->Insert(txn, outs[t.output_index], t.row, policy);
-          if (!outcome.ok()) return outcome.status();
-          if (!outcome->inserted) {
-            stats_.duplicate_inserts_discarded.fetch_add(
-                1, std::memory_order_relaxed);
-          }
-        }
-        stats_.rows_emitted.fetch_add(targets.size(),
-                                      std::memory_order_relaxed);
-      }
-    }
-    stats_.rows_migrated.fetch_add(lefts.size(), std::memory_order_relaxed);
-    if (config_.maintain_tracker) {
-      txns_->LogMigrationMark(txn, hash_tracker_->id(), key);
-    }
-  }
-  return Status::OK();
-}
-
 Status JoinMigrator::MigrateKeys(std::vector<Tuple> keys,
                                  bool wait_for_skipped) {
-  if (keys.empty()) return Status::OK();
-
-  if (config_.duplicate_detection == DuplicateDetection::kOnConflictClause ||
-      !config_.maintain_tracker) {
-    std::vector<Tuple> todo;
-    for (const Tuple& k : keys) {
-      if (!config_.maintain_tracker || !hash_tracker_->IsMigrated(k)) {
-        todo.push_back(k);
-      }
-    }
-    if (todo.empty()) return Status::OK();
-    for (int attempt = 0;; ++attempt) {
-      auto txn = txns_->Begin();
-      if (config_.maintain_tracker) {
-        HashTracker* tracker = hash_tracker_.get();
-        std::vector<Tuple> wip = todo;
-        txn->OnCommit([tracker, wip] {
-          for (const Tuple& k : wip) tracker->ForceMigrated(k);
-        });
-      }
-      Status s = MigrateWipKeys(txn.get(), todo);
-      if (s.ok()) {
-        BF_RETURN_NOT_OK(txns_->Commit(txn.get()));
-        CountUnits(todo.size(), wait_for_skipped,
-                   /*forced=*/config_.maintain_tracker);
-        return Status::OK();
-      }
-      (void)txns_->Abort(txn.get());
-      stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-      if (!s.IsRetryable() || attempt >= config_.retry_limit) return s;
-      stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  Stopwatch waited;
-  std::vector<Tuple> pending = std::move(keys);
-  int attempts = 0;
-  while (!pending.empty()) {
-    std::vector<Tuple> wip;
-    std::vector<Tuple> skip;
-    for (const Tuple& k : pending) {
-      switch (hash_tracker_->TryAcquire(k)) {
-        case AcquireResult::kAcquired:
-          wip.push_back(k);
-          break;
-        case AcquireResult::kInProgress:
-          skip.push_back(k);
-          stats_.skip_encounters.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case AcquireResult::kAlreadyMigrated:
-          stats_.already_migrated_hits.fetch_add(1,
-                                                 std::memory_order_relaxed);
-          break;
-      }
-    }
-    if (!wip.empty()) {
-      auto txn = txns_->Begin();
-      HashTracker* tracker = hash_tracker_.get();
-      txn->OnAbort([tracker, wip] {
-        for (const Tuple& k : wip) tracker->MarkAborted(k);
+  return MigrateUnits(
+      hash_tracker_.get(), std::move(keys), wait_for_skipped,
+      [this](Transaction* txn, const TxnTables& tables,
+             const Tuple& key) -> Result<uint64_t> {
+        BF_ASSIGN_OR_RETURN(std::vector<Tuple> lefts,
+                            MatchingRows(tables.inputs[0], left_key_index_,
+                                         key[0], left_boundary_));
+        BF_ASSIGN_OR_RETURN(std::vector<Tuple> rights,
+                            MatchingRows(tables.inputs[1], right_key_index_,
+                                         key[0], right_boundary_));
+        for (const Tuple& l : lefts) {
+          for (const Tuple& r : rights) {
+            BF_ASSIGN_OR_RETURN(std::vector<TargetRow> targets,
+                                stmt_.join_transform(l, r));
+            BF_RETURN_NOT_OK(Emit(txn, tables, targets));
+          }
+        }
+        return static_cast<uint64_t>(lefts.size());
       });
-      txn->OnCommit([tracker, wip] {
-        for (const Tuple& k : wip) tracker->MarkMigrated(k);
-      });
-      Status s = MigrateWipKeys(txn.get(), wip);
-      if (s.ok()) s = txns_->Commit(txn.get());
-      if (!s.ok()) {
-        if (txn->state() == TxnState::kActive) (void)txns_->Abort(txn.get());
-        stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-        if (!s.IsRetryable() || attempts >= config_.retry_limit) return s;
-        ++attempts;
-        stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
-        for (Tuple& k : wip) skip.push_back(std::move(k));
-      } else {
-        CountUnits(wip.size(), wait_for_skipped, /*forced=*/false);
-      }
-    }
-    if (skip.empty()) break;
-    if (!wait_for_skipped) break;
-    std::vector<Tuple> still;
-    for (Tuple& k : skip) {
-      if (!hash_tracker_->IsMigrated(k)) still.push_back(std::move(k));
-    }
-    pending = std::move(still);
-    if (pending.empty()) break;
-    stats_.skip_wait_loops.fetch_add(1, std::memory_order_relaxed);
-    if (config_.wait_on_skip && config_.skip_recheck_us > 0) {
-      SkipRecheckSleep();
-    }
-    if (waited.ElapsedMillis() > config_.skip_timeout_ms) {
-      return Status::TimedOut("skipped join keys not migrated in time in '" +
-                              stmt_.name + "'");
-    }
-  }
-  return Status::OK();
 }
 
 Status JoinMigrator::MigrateJoinKey(const Value& key) {
@@ -875,156 +667,39 @@ Status JoinMigrator::MigrateJoinKey(const Value& key) {
   return MigrateKeys({Tuple{key}}, /*wait_for_skipped=*/true);
 }
 
-Status JoinMigrator::MigrateWipGranules(Transaction* txn,
-                                        const std::vector<uint64_t>& wip) {
-  BF_ASSIGN_OR_RETURN(Table * tracked, TrackedTable());
-  const bool track_left =
-      stmt_.join_policy == JoinPolicy::kTrackForeignSideOnly;
-  BF_ASSIGN_OR_RETURN(Table * other, InputTable(track_left ? 1 : 0));
-  const size_t tracked_key = track_left ? left_key_index_ : right_key_index_;
-  const uint64_t other_boundary =
-      track_left ? right_boundary_ : left_boundary_;
-  const size_t other_key = track_left ? right_key_index_ : left_key_index_;
-  std::vector<Table*> outs(stmt_.output_tables.size());
-  for (size_t i = 0; i < outs.size(); ++i) {
-    BF_ASSIGN_OR_RETURN(outs[i], OutputTable(i));
-  }
-  const OnConflict policy = InsertPolicy();
-  for (uint64_t g : wip) {
-    const RowId begin = bitmap_tracker_->GranuleBegin(g);
-    const RowId end = bitmap_tracker_->GranuleEnd(g);
-    for (RowId rid = begin; rid < end; ++rid) {
-      Tuple row;
-      if (!tracked->Read(rid, &row).ok()) continue;
-      BF_ASSIGN_OR_RETURN(
-          std::vector<Tuple> matches,
-          MatchingRows(other, other_key, row[tracked_key], other_boundary));
-      for (const Tuple& m : matches) {
-        const Tuple& l = track_left ? row : m;
-        const Tuple& r = track_left ? m : row;
-        BF_ASSIGN_OR_RETURN(std::vector<TargetRow> targets,
-                            stmt_.join_transform(l, r));
-        for (TargetRow& t : targets) {
-          BF_RETURN_NOT_OK(CheckConstraints(t.output_index, t.row));
-          auto outcome =
-              txns_->Insert(txn, outs[t.output_index], t.row, policy);
-          if (!outcome.ok()) return outcome.status();
-          if (!outcome->inserted) {
-            stats_.duplicate_inserts_discarded.fetch_add(
-                1, std::memory_order_relaxed);
-          }
-        }
-        stats_.rows_emitted.fetch_add(targets.size(),
-                                      std::memory_order_relaxed);
-      }
-      stats_.rows_migrated.fetch_add(1, std::memory_order_relaxed);
-    }
-    if (config_.maintain_tracker) {
-      txns_->LogMigrationMark(txn, bitmap_tracker_->id(),
-                              Tuple{Value::Int(static_cast<int64_t>(g))});
-    }
-  }
-  return Status::OK();
-}
-
 Status JoinMigrator::MigrateGranules(std::vector<uint64_t> granules,
                                      bool wait_for_skipped) {
-  if (granules.empty()) return Status::OK();
-
-  if (config_.duplicate_detection == DuplicateDetection::kOnConflictClause ||
-      !config_.maintain_tracker) {
-    std::vector<uint64_t> todo;
-    for (uint64_t g : granules) {
-      if (!config_.maintain_tracker || !bitmap_tracker_->IsMigrated(g)) {
-        todo.push_back(g);
-      }
-    }
-    if (todo.empty()) return Status::OK();
-    for (int attempt = 0;; ++attempt) {
-      auto txn = txns_->Begin();
-      if (config_.maintain_tracker) {
-        BitmapTracker* tracker = bitmap_tracker_.get();
-        std::vector<uint64_t> wip = todo;
-        txn->OnCommit([tracker, wip] {
-          for (uint64_t g : wip) tracker->ForceMigrated(g);
-        });
-      }
-      Status s = MigrateWipGranules(txn.get(), todo);
-      if (s.ok()) {
-        BF_RETURN_NOT_OK(txns_->Commit(txn.get()));
-        CountUnits(todo.size(), wait_for_skipped,
-                   /*forced=*/config_.maintain_tracker);
-        return Status::OK();
-      }
-      (void)txns_->Abort(txn.get());
-      stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-      if (!s.IsRetryable() || attempt >= config_.retry_limit) return s;
-      stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
-
-  Stopwatch waited;
-  std::vector<uint64_t> pending = std::move(granules);
-  int attempts = 0;
-  while (!pending.empty()) {
-    std::vector<uint64_t> wip;
-    std::vector<uint64_t> skip;
-    for (uint64_t g : pending) {
-      switch (bitmap_tracker_->TryAcquire(g)) {
-        case AcquireResult::kAcquired:
-          wip.push_back(g);
-          break;
-        case AcquireResult::kInProgress:
-          skip.push_back(g);
-          stats_.skip_encounters.fetch_add(1, std::memory_order_relaxed);
-          break;
-        case AcquireResult::kAlreadyMigrated:
-          stats_.already_migrated_hits.fetch_add(1,
-                                                 std::memory_order_relaxed);
-          break;
-      }
-    }
-    if (!wip.empty()) {
-      auto txn = txns_->Begin();
-      BitmapTracker* tracker = bitmap_tracker_.get();
-      txn->OnAbort([tracker, wip] {
-        for (uint64_t g : wip) tracker->ResetAborted(g);
+  const bool track_left =
+      stmt_.join_policy == JoinPolicy::kTrackForeignSideOnly;
+  const size_t tracked_key = track_left ? left_key_index_ : right_key_index_;
+  const size_t other_key = track_left ? right_key_index_ : left_key_index_;
+  const uint64_t other_boundary =
+      track_left ? right_boundary_ : left_boundary_;
+  return MigrateUnits(
+      bitmap_tracker_.get(), std::move(granules), wait_for_skipped,
+      [&](Transaction* txn, const TxnTables& tables,
+          uint64_t g) -> Result<uint64_t> {
+        Table* tracked = tables.inputs[track_left ? 0 : 1];
+        Table* other = tables.inputs[track_left ? 1 : 0];
+        uint64_t read = 0;
+        const RowId end = bitmap_tracker_->GranuleEnd(g);
+        for (RowId rid = bitmap_tracker_->GranuleBegin(g); rid < end; ++rid) {
+          Tuple row;
+          if (!tracked->Read(rid, &row).ok()) continue;
+          BF_ASSIGN_OR_RETURN(std::vector<Tuple> matches,
+                              MatchingRows(other, other_key, row[tracked_key],
+                                           other_boundary));
+          for (const Tuple& m : matches) {
+            BF_ASSIGN_OR_RETURN(
+                std::vector<TargetRow> targets,
+                stmt_.join_transform(track_left ? row : m,
+                                     track_left ? m : row));
+            BF_RETURN_NOT_OK(Emit(txn, tables, targets));
+          }
+          ++read;
+        }
+        return read;
       });
-      txn->OnCommit([tracker, wip] {
-        for (uint64_t g : wip) tracker->MarkMigrated(g);
-      });
-      Status s = MigrateWipGranules(txn.get(), wip);
-      if (s.ok()) s = txns_->Commit(txn.get());
-      if (!s.ok()) {
-        if (txn->state() == TxnState::kActive) (void)txns_->Abort(txn.get());
-        stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
-        if (!s.IsRetryable() || attempts >= config_.retry_limit) return s;
-        ++attempts;
-        stats_.txn_retries.fetch_add(1, std::memory_order_relaxed);
-        for (uint64_t g : wip) skip.push_back(g);
-      } else {
-        CountUnits(wip.size(), wait_for_skipped, /*forced=*/false);
-      }
-    }
-    if (skip.empty()) break;
-    if (!wait_for_skipped) break;
-    std::vector<uint64_t> still;
-    for (uint64_t g : skip) {
-      if (!bitmap_tracker_->IsMigrated(g)) still.push_back(g);
-    }
-    pending = std::move(still);
-    if (pending.empty()) break;
-    stats_.skip_wait_loops.fetch_add(1, std::memory_order_relaxed);
-    if (config_.wait_on_skip && config_.skip_recheck_us > 0) {
-      SkipRecheckSleep();
-    }
-    if (waited.ElapsedMillis() > config_.skip_timeout_ms) {
-      return Status::TimedOut(
-          "skipped join granules not migrated in time in '" + stmt_.name +
-          "'");
-    }
-  }
-  return Status::OK();
 }
 
 Result<uint64_t> JoinMigrator::MigrateBackgroundChunk(uint64_t max_units,

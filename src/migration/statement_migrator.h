@@ -36,6 +36,14 @@ class StatementMigrator {
   StatementMigrator(const StatementMigrator&) = delete;
   StatementMigrator& operator=(const StatementMigrator&) = delete;
 
+  /// Source rows one migration transaction reads before it commits. A
+  /// unit's claim lasts only until its transaction commits, so this bounds
+  /// how long another request can be SKIP-blocked on it (Algorithm 1 line
+  /// 10). A unit that reads at least as many (one TPC-C join class, ~50
+  /// order lines) ends its transaction, so such units commit one by one;
+  /// row-sized bitmap granules still share a commit.
+  static constexpr uint64_t kRowsPerMigrationTxn = 32;
+
   const MigrationStatement& statement() const { return stmt_; }
   const MigrationStats& stats() const { return stats_; }
 
@@ -76,35 +84,42 @@ class StatementMigrator {
 
  protected:
   StatementMigrator(Catalog* catalog, TransactionManager* txns,
-                    MigrationStatement stmt, LazyConfig config)
-      : catalog_(catalog),
-        txns_(txns),
-        stmt_(std::move(stmt)),
-        config_(config) {}
+                    MigrationStatement stmt, LazyConfig config);
 
   /// Category-specific: derive the candidate units for per-input-table
   /// old-schema predicates and run the Algorithm 1 loop on them.
   virtual Status MigrateCandidates(const RewrittenPredicates& preds) = 0;
 
-  /// Resolves an output table pointer by statement output index.
-  Result<Table*> OutputTable(size_t output_index) const;
   /// Resolves an input table (readable even when retired).
   Result<Table*> InputTable(size_t input_index) const;
 
-  /// Runs the configured constraint hook (FK checks, §4.5) for a row
-  /// about to be inserted into output table `output_index`.
-  Status CheckConstraints(size_t output_index, const Tuple& row) const {
-    if (!config_.constraint_hook) return Status::OK();
-    return config_.constraint_hook(stmt_.output_tables[output_index], row);
-  }
+  /// The input and output tables of the statement, resolved once per
+  /// MigrateUnits call.
+  struct TxnTables {
+    std::vector<Table*> inputs;
+    std::vector<Table*> outputs;
+  };
+  /// Resolves every input (readable even when retired) and output table.
+  Result<TxnTables> ResolveTables() const;
 
-  /// Insert policy for migration inserts under the configured duplicate
-  /// detection.
-  OnConflict InsertPolicy() const {
-    return config_.duplicate_detection == DuplicateDetection::kOnConflictClause
-               ? OnConflict::kDoNothing
-               : OnConflict::kError;
-  }
+  /// Algorithm 1 for every tracker and unit kind (a bitmap granule index
+  /// or a hashmap group key). Claims each unit only when it is about to
+  /// migrate it, calls `migrate_one(txn, tables, unit)` (which returns
+  /// the source rows it read) and commits once kRowsPerMigrationTxn rows
+  /// were read. The commit hook marks the transaction's units migrated;
+  /// the abort hook resets them. SKIP'd units are re-checked only after
+  /// the open transaction has ended, so a waiting request holds no claim.
+  /// `wait_for_skipped` false = background mode (never block on other
+  /// workers). Also runs the §3.7 ON CONFLICT mode (no claims, forced
+  /// marks) and the Fig 9 no-tracker ablation.
+  template <typename Tracker, typename Unit, typename MigrateOne>
+  Status MigrateUnits(Tracker* tracker, std::vector<Unit> units,
+                      bool wait_for_skipped, MigrateOne migrate_one);
+
+  /// Checks (§4.5) and inserts the rows one source row or group transforms
+  /// to, inside the migration transaction `txn`.
+  Status Emit(Transaction* txn, const TxnTables& tables,
+              const std::vector<TargetRow>& targets);
 
   /// Bumps units_migrated plus the matching attribution bucket (see
   /// MigrationStats): `forced` = §3.7 ForceMigrated path, otherwise
@@ -138,6 +153,9 @@ class StatementMigrator {
   MigrationStatement stmt_;
   LazyConfig config_;
   MigrationStats stats_;
+  /// Per output table: whether it declares a FOREIGN KEY, i.e. whether
+  /// Emit runs the constraint hook for its rows.
+  std::vector<bool> output_has_fk_;
   obs::MigrationTracer* tracer_ = nullptr;
   std::string trace_name_;
   std::atomic<bool> first_pull_traced_{false};
@@ -170,14 +188,9 @@ class ProjectionMigrator final : public StatementMigrator {
  private:
   friend class MigrationControllerTestPeer;
 
-  /// Runs Algorithm 1 on an explicit granule set. `wait_for_skipped`
-  /// false = background mode (never block on other workers).
+  /// Runs Algorithm 1 on an explicit granule set.
   Status MigrateGranules(std::vector<uint64_t> granules,
                          bool wait_for_skipped);
-
-  /// Migrates the granules in `wip` inside transaction `txn`.
-  Status MigrateWipGranules(Transaction* txn,
-                            const std::vector<uint64_t>& wip);
 
   std::unique_ptr<BitmapTracker> tracker_;
   std::atomic<uint64_t> sweep_pos_{0};
@@ -206,9 +219,9 @@ class AggregateMigrator final : public StatementMigrator {
 
  private:
   Status MigrateGroups(std::vector<Tuple> keys, bool wait_for_skipped);
-  Status MigrateWipGroups(Transaction* txn, const std::vector<Tuple>& wip);
-  /// All input rows (rid < boundary) in the group.
-  Result<std::vector<Tuple>> CollectGroup(const Tuple& key) const;
+  /// All rows of `input` (rid < boundary) in the group.
+  Result<std::vector<Tuple>> CollectGroup(Table* input,
+                                          const Tuple& key) const;
   Tuple GroupKeyOf(const Tuple& row) const;
 
   std::unique_ptr<HashTracker> tracker_;
@@ -244,15 +257,11 @@ class JoinMigrator final : public StatementMigrator {
   Status MigrateCandidates(const RewrittenPredicates& preds) override;
 
  private:
-  // --- kHashJoinKey ----------------------------------------------------
+  /// kHashJoinKey: Algorithm 1 over join-key classes.
   Status MigrateKeys(std::vector<Tuple> keys, bool wait_for_skipped);
-  Status MigrateWipKeys(Transaction* txn, const std::vector<Tuple>& wip);
-
-  // --- bitmap policies --------------------------------------------------
+  /// Bitmap policies: Algorithm 1 over granules of the tracked side.
   Status MigrateGranules(std::vector<uint64_t> granules,
                          bool wait_for_skipped);
-  Status MigrateWipGranules(Transaction* txn,
-                            const std::vector<uint64_t>& wip);
 
   /// Rows of `table` whose join column equals `key` and rid < boundary.
   Result<std::vector<Tuple>> MatchingRows(Table* table, size_t col_index,

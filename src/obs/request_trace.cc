@@ -106,9 +106,11 @@ void TraceContext::RecordSpan(const char* name, int64_t start_abs_ns,
   spans_.push_back(std::move(span));
 }
 
-void TraceContext::Finish() {
+void TraceContext::Finish() { FinishAt(Clock::NowNanos()); }
+
+void TraceContext::FinishAt(int64_t end_abs_ns) {
   int64_t expected = -1;
-  int64_t total = Clock::NowNanos() - start_ns_;
+  int64_t total = end_abs_ns - start_ns_;
   total_ns_.compare_exchange_strong(expected, total,
                                     std::memory_order_acq_rel);
 }

@@ -96,6 +96,8 @@ class TraceContext {
 
   /// Stamps the end-to-end duration. Idempotent.
   void Finish();
+  /// Finish with `end_abs_ns` (a Clock::NowNanos() value) as the end.
+  void FinishAt(int64_t end_abs_ns);
   bool finished() const { return total_ns_.load(std::memory_order_acquire) >= 0; }
   int64_t total_ns() const;
 

@@ -53,9 +53,11 @@ Status MigrationCoordinator::FanOut(
       continue;
     }
     if (!results[i].ok() && first_error.ok()) {
-      first_error = Status::Internal(
-          "shard " + std::to_string(i) +
-          " rejected the migration: " + results[i].message());
+      // Keep the shard's code: a racing submit must still read as kBusy.
+      first_error = Status(results[i].code(),
+                           "shard " + std::to_string(i) +
+                               " rejected the migration: " +
+                               results[i].message());
     }
   }
 

@@ -1,4 +1,6 @@
 #include <atomic>
+#include <chrono>
+#include <future>
 #include <set>
 #include <thread>
 
@@ -12,9 +14,97 @@
 namespace bullfrog {
 namespace {
 
-/// Fixture: left(id, k, x) and right(k, y) joined on k into
-/// joined(id, k, x, rk_y). Key k ranges over kKeys values; each key has
-/// kLeftPerKey left rows and kRightPerKey right rows (true many-to-many).
+/// Creates left(id, k, x) and right(rid, k, y), joined on k into
+/// joined(id, rid, k, x, y). Key k ranges over `keys` values; each key has
+/// `left_per_key` left rows and `right_per_key` right rows (true
+/// many-to-many).
+void LoadJoinTables(Catalog* catalog, int keys, int left_per_key,
+                    int right_per_key) {
+  auto left = catalog->CreateTable(SchemaBuilder("left")
+                                       .AddColumn("id", ValueType::kInt64,
+                                                  false)
+                                       .AddColumn("k", ValueType::kInt64)
+                                       .AddColumn("x", ValueType::kInt64)
+                                       .SetPrimaryKey({"id"})
+                                       .Build());
+  ASSERT_TRUE(left.ok());
+  ASSERT_TRUE(
+      (*left)->CreateIndex("left_by_k", {"k"}, false, IndexKind::kHash).ok());
+  auto right = catalog->CreateTable(SchemaBuilder("right")
+                                        .AddColumn("rid", ValueType::kInt64,
+                                                   false)
+                                        .AddColumn("k", ValueType::kInt64)
+                                        .AddColumn("y", ValueType::kInt64)
+                                        .SetPrimaryKey({"rid"})
+                                        .Build());
+  ASSERT_TRUE(right.ok());
+  ASSERT_TRUE(
+      (*right)->CreateIndex("right_by_k", {"k"}, false, IndexKind::kHash)
+          .ok());
+  int id = 0;
+  for (int k = 0; k < keys; ++k) {
+    for (int i = 0; i < left_per_key; ++i) {
+      ASSERT_TRUE((*left)
+                      ->Insert(Tuple{Value::Int(id++), Value::Int(k),
+                                     Value::Int(k * 100 + i)})
+                      .ok());
+    }
+  }
+  int rid = 0;
+  for (int k = 0; k < keys; ++k) {
+    for (int i = 0; i < right_per_key; ++i) {
+      ASSERT_TRUE((*right)
+                      ->Insert(Tuple{Value::Int(rid++), Value::Int(k),
+                                     Value::Int(k * 10 + i)})
+                      .ok());
+    }
+  }
+  ASSERT_TRUE(catalog->CreateTable(SchemaBuilder("joined")
+                                       .AddColumn("id", ValueType::kInt64,
+                                                  false)
+                                       .AddColumn("rid", ValueType::kInt64,
+                                                  false)
+                                       .AddColumn("k", ValueType::kInt64)
+                                       .AddColumn("x", ValueType::kInt64)
+                                       .AddColumn("y", ValueType::kInt64)
+                                       .SetPrimaryKey({"id", "rid"})
+                                       .Build())
+                  .ok());
+}
+
+MigrationStatement JoinStatement(JoinPolicy policy) {
+  MigrationStatement stmt;
+  stmt.name = "join_lr";
+  stmt.category = MigrationCategory::kManyToMany;
+  stmt.input_tables = {"left", "right"};
+  stmt.output_tables = {"joined"};
+  stmt.left_join_column = "k";
+  stmt.right_join_column = "k";
+  stmt.join_policy = policy;
+  stmt.provenance.AddPassThrough("id", "left", "id");
+  stmt.provenance.AddPassThrough("x", "left", "x");
+  stmt.provenance.AddPassThrough("k", "left", "k");
+  stmt.provenance.AddPassThrough("k", "right", "k");
+  stmt.provenance.AddPassThrough("rid", "right", "rid");
+  stmt.provenance.AddPassThrough("y", "right", "y");
+  stmt.join_transform =
+      [](const Tuple& l, const Tuple& r) -> Result<std::vector<TargetRow>> {
+    return std::vector<TargetRow>{
+        TargetRow{0, Tuple{l[0], r[0], l[1], l[2], r[2]}}};
+  };
+  return stmt;
+}
+
+/// The distinct (id, rid) pairs in the joined table.
+size_t DistinctJoinedPairs(Catalog* catalog) {
+  std::set<std::pair<int64_t, int64_t>> pairs;
+  catalog->FindTable("joined")->Scan([&](RowId, const Tuple& row) {
+    pairs.emplace(row[0].AsInt(), row[1].AsInt());
+    return true;
+  });
+  return pairs.size();
+}
+
 class JoinMigratorTest : public ::testing::TestWithParam<JoinPolicy> {
  protected:
   static constexpr int kKeys = 12;
@@ -22,80 +112,7 @@ class JoinMigratorTest : public ::testing::TestWithParam<JoinPolicy> {
   static constexpr int kRightPerKey = 3;
 
   void SetUp() override {
-    auto left = catalog_.CreateTable(SchemaBuilder("left")
-                                         .AddColumn("id", ValueType::kInt64,
-                                                    false)
-                                         .AddColumn("k", ValueType::kInt64)
-                                         .AddColumn("x", ValueType::kInt64)
-                                         .SetPrimaryKey({"id"})
-                                         .Build());
-    ASSERT_TRUE(left.ok());
-    ASSERT_TRUE(
-        (*left)->CreateIndex("left_by_k", {"k"}, false, IndexKind::kHash)
-            .ok());
-    auto right = catalog_.CreateTable(SchemaBuilder("right")
-                                          .AddColumn("rid", ValueType::kInt64,
-                                                     false)
-                                          .AddColumn("k", ValueType::kInt64)
-                                          .AddColumn("y", ValueType::kInt64)
-                                          .SetPrimaryKey({"rid"})
-                                          .Build());
-    ASSERT_TRUE(right.ok());
-    ASSERT_TRUE(
-        (*right)->CreateIndex("right_by_k", {"k"}, false, IndexKind::kHash)
-            .ok());
-    int id = 0;
-    for (int k = 0; k < kKeys; ++k) {
-      for (int i = 0; i < kLeftPerKey; ++i) {
-        ASSERT_TRUE((*left)
-                        ->Insert(Tuple{Value::Int(id++), Value::Int(k),
-                                       Value::Int(k * 100 + i)})
-                        .ok());
-      }
-    }
-    int rid = 0;
-    for (int k = 0; k < kKeys; ++k) {
-      for (int i = 0; i < kRightPerKey; ++i) {
-        ASSERT_TRUE((*right)
-                        ->Insert(Tuple{Value::Int(rid++), Value::Int(k),
-                                       Value::Int(k * 10 + i)})
-                        .ok());
-      }
-    }
-    ASSERT_TRUE(catalog_.CreateTable(SchemaBuilder("joined")
-                                         .AddColumn("id", ValueType::kInt64,
-                                                    false)
-                                         .AddColumn("rid", ValueType::kInt64,
-                                                    false)
-                                         .AddColumn("k", ValueType::kInt64)
-                                         .AddColumn("x", ValueType::kInt64)
-                                         .AddColumn("y", ValueType::kInt64)
-                                         .SetPrimaryKey({"id", "rid"})
-                                         .Build())
-                    .ok());
-  }
-
-  MigrationStatement JoinStatement(JoinPolicy policy) {
-    MigrationStatement stmt;
-    stmt.name = "join_lr";
-    stmt.category = MigrationCategory::kManyToMany;
-    stmt.input_tables = {"left", "right"};
-    stmt.output_tables = {"joined"};
-    stmt.left_join_column = "k";
-    stmt.right_join_column = "k";
-    stmt.join_policy = policy;
-    stmt.provenance.AddPassThrough("id", "left", "id");
-    stmt.provenance.AddPassThrough("x", "left", "x");
-    stmt.provenance.AddPassThrough("k", "left", "k");
-    stmt.provenance.AddPassThrough("k", "right", "k");
-    stmt.provenance.AddPassThrough("rid", "right", "rid");
-    stmt.provenance.AddPassThrough("y", "right", "y");
-    stmt.join_transform =
-        [](const Tuple& l, const Tuple& r) -> Result<std::vector<TargetRow>> {
-      return std::vector<TargetRow>{
-          TargetRow{0, Tuple{l[0], r[0], l[1], l[2], r[2]}}};
-    };
-    return stmt;
+    LoadJoinTables(&catalog_, kKeys, kLeftPerKey, kRightPerKey);
   }
 
   Result<std::unique_ptr<StatementMigrator>> Make(JoinPolicy policy,
@@ -175,13 +192,7 @@ TEST_P(JoinMigratorTest, ConcurrentRequestsProduceExactJoin) {
   EXPECT_EQ(errors.load(), 0);
   EXPECT_EQ(CountJoined(), kExpectedTotal);
   // Verify the actual pair set, not just the count.
-  Table* joined = catalog_.FindTable("joined");
-  std::set<std::pair<int64_t, int64_t>> pairs;
-  joined->Scan([&](RowId, const Tuple& row) {
-    pairs.emplace(row[0].AsInt(), row[1].AsInt());
-    return true;
-  });
-  EXPECT_EQ(pairs.size(), kExpectedTotal);
+  EXPECT_EQ(DistinctJoinedPairs(&catalog_), kExpectedTotal);
 }
 
 TEST_P(JoinMigratorTest, RightSourcedPredicateNarrowsThroughJoinKey) {
@@ -206,6 +217,52 @@ TEST_P(JoinMigratorTest, RightSourcedPredicateNarrowsThroughJoinKey) {
   }
 }
 
+TEST_P(JoinMigratorTest, AbortMidTransactionResetsEveryClaimedUnit) {
+  // The first migration transaction covers several units (a class reads
+  // 8 left rows, a granule one row, against a 32-row budget). Fail it on
+  // its 49th joined pair: past its first units, inside a later one.
+  MigrationStatement stmt = JoinStatement(GetParam());
+  auto transform = stmt.join_transform;
+  bool fail = true;
+  int calls = 0;
+  std::set<int64_t> failed_classes;  // Join keys the failed txn touched.
+  stmt.join_transform = [&](const Tuple& l,
+                            const Tuple& r) -> Result<std::vector<TargetRow>> {
+    if (fail) {
+      failed_classes.insert(l[1].AsInt());
+      if (++calls == 49) return Status::Internal("injected transform failure");
+    }
+    return transform(l, r);
+  };
+  LazyConfig config;
+  config.skip_timeout_ms = 2000;  // A leaked claim times the re-run out.
+  auto m = MakeStatementMigrator(&catalog_, &txns_, stmt, config);
+  ASSERT_TRUE(m.ok());
+  const ExprPtr all = Ge(Col("k"), LitInt(0));
+  EXPECT_EQ((*m)->MigrateForPredicate(all).code(), StatusCode::kInternal);
+
+  // The abort rolled back every output row and marked no unit migrated.
+  EXPECT_EQ(CountJoined(), 0u);
+  EXPECT_EQ((*m)->tracker()->MigratedCount(), 0u);
+  EXPECT_EQ((*m)->stats().txn_aborts.load(), 1u);
+  if (GetParam() == JoinPolicy::kHashJoinKey) {
+    auto* tracker = static_cast<HashTracker*>((*m)->tracker());
+    EXPECT_GT(failed_classes.size(), 1u);
+    for (int64_t k : failed_classes) {
+      EXPECT_EQ(tracker->GetState(Tuple{Value::Int(k)}), GroupState::kAborted)
+          << "class " << k;
+    }
+  }
+
+  // Every claim was reset: a second pass takes each unit over without a
+  // SKIP, and every tuple arrives exactly once.
+  fail = false;
+  ASSERT_TRUE((*m)->MigrateForPredicate(all).ok());
+  EXPECT_EQ((*m)->stats().skip_encounters.load(), 0u);
+  EXPECT_EQ(CountJoined(), kExpectedTotal);
+  EXPECT_EQ(DistinctJoinedPairs(&catalog_), kExpectedTotal);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Policies, JoinMigratorTest,
     ::testing::Values(JoinPolicy::kHashJoinKey,
@@ -222,6 +279,63 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return "Unknown";
     });
+
+// A class of kRowsPerMigrationTxn left rows fills a migration
+// transaction's budget, so it commits before the next class is claimed. A
+// request blocked inside its second class holds no claim on its first.
+TEST(JoinBoundedClaimTest, ClassCommitsBeforeTheNextIsClaimed) {
+  Catalog catalog;
+  TransactionManager txns;
+  const int per_class =
+      static_cast<int>(StatementMigrator::kRowsPerMigrationTxn);
+  LoadJoinTables(&catalog, /*keys=*/2, per_class, /*right_per_key=*/1);
+  MigrationStatement stmt = JoinStatement(JoinPolicy::kHashJoinKey);
+  auto transform = stmt.join_transform;
+  std::atomic<int64_t> first_class{-1};
+  std::atomic<bool> blocked_once{false};
+  std::promise<void> blocked;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  stmt.join_transform = [&](const Tuple& l,
+                            const Tuple& r) -> Result<std::vector<TargetRow>> {
+    int64_t first = -1;
+    if (!first_class.compare_exchange_strong(first, l[1].AsInt()) &&
+        first != l[1].AsInt() && !blocked_once.exchange(true)) {
+      blocked.set_value();
+      released.wait();
+    }
+    return transform(l, r);
+  };
+  LazyConfig config;
+  config.skip_timeout_ms = 2000;  // An old-style batch claim times B out.
+  auto m = MakeStatementMigrator(&catalog, &txns, stmt, config);
+  ASSERT_TRUE(m.ok());
+
+  Status a = Status::OK();
+  std::thread request_a(
+      [&] { a = (*m)->MigrateForPredicate(Lt(Col("k"), LitInt(2))); });
+  const bool reached = blocked.get_future().wait_for(std::chrono::seconds(
+                           10)) == std::future_status::ready;
+  bool first_migrated = false;
+  Status b = Status::OK();
+  if (reached) {
+    const int64_t k = first_class.load();
+    first_migrated = static_cast<HashTracker*>((*m)->tracker())
+                         ->IsMigrated(Tuple{Value::Int(k)});
+    b = (*m)->MigrateForPredicate(Eq(Col("k"), LitInt(k)));
+  }
+  release.set_value();
+  request_a.join();
+
+  ASSERT_TRUE(reached) << "request A never reached its second class";
+  EXPECT_TRUE(first_migrated);
+  EXPECT_TRUE(b.ok()) << b.ToString();
+  EXPECT_EQ((*m)->stats().skip_encounters.load(), 0u);
+  EXPECT_EQ((*m)->stats().skip_wait_loops.load(), 0u);
+  EXPECT_TRUE(a.ok()) << a.ToString();
+  EXPECT_EQ(catalog.FindTable("joined")->NumLiveRows(),
+            static_cast<uint64_t>(2 * per_class));
+}
 
 TEST(JoinMigratorValidationTest, RequiresTwoInputs) {
   Catalog catalog;

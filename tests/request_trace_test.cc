@@ -158,8 +158,7 @@ std::shared_ptr<const TraceContext> MakeFinished(uint64_t id, int64_t busy_us,
                                                  const std::string& sql) {
   auto t = std::make_shared<TraceContext>(id, sql);
   t->AddStage(Stage::kExecute, busy_us * 1000, 1);
-  Clock::SleepMicros(busy_us);
-  t->Finish();
+  t->FinishAt(t->start_ns() + busy_us * 1000);
   return t;
 }
 
@@ -317,6 +316,48 @@ TEST_F(TraceEngineTest, MigratePullAttributedOnFirstTouchZeroOnWarmRead) {
             std::string::npos)
       << warm;
   EXPECT_EQ(warm.find("migrate_pull"), std::string::npos) << warm;
+}
+
+TEST_F(TraceEngineTest, PullTimeExcludesSkipWaitsInsideThePull) {
+  MigrationController::SubmitOptions opts;
+  opts.strategy = MigrationStrategy::kLazy;
+  opts.lazy.background_start_delay_ms = 60000;
+  ASSERT_TRUE(engine_
+                  ->SubmitMigrationScript(
+                      "CREATE TABLE accts_v2 PRIMARY KEY (id) AS "
+                      "SELECT id, bal, bal + 1 AS nxt FROM accts;\n"
+                      "DROP TABLE accts;",
+                      opts)
+                  .ok());
+  // Another worker holds the granule of row 5 (one row per granule), so
+  // the request pulls rows 0-10 but SKIP-waits on row 5 until the claim
+  // is given back.
+  auto migrators = db_.controller().migrators();
+  ASSERT_EQ(migrators.size(), 1u);
+  auto* tracker = static_cast<BitmapTracker*>(migrators[0]->tracker());
+  ASSERT_EQ(tracker->TryAcquire(5), AcquireResult::kAcquired);
+  std::thread owner([tracker] {
+    Clock::SleepMillis(30);
+    tracker->ResetAborted(5);
+  });
+
+  TraceContext trace(1, "pull and wait");
+  {
+    TraceBinding bind(&trace);
+    auto session = db_.BeginSession({"accts_v2"});
+    auto rows = db_.Select(&session, "accts_v2", Le(Col("id"), LitInt(10)));
+    ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+    EXPECT_EQ(rows->size(), 11u);
+    ASSERT_TRUE(db_.Commit(&session).ok());
+  }
+  trace.Finish();
+  owner.join();
+
+  const int64_t pull = trace.StageNanos(Stage::kMigratePull);
+  const int64_t wait = trace.StageNanos(Stage::kMigrateWait);
+  EXPECT_GT(pull, 0);
+  EXPECT_GE(wait, 20 * 1000 * 1000);  // Most of the owner's 30 ms.
+  EXPECT_LE(pull + wait, trace.total_ns()) << trace.Render();
 }
 
 TEST_F(TraceEngineTest, AccountedWithinTenPercentOfTotal) {

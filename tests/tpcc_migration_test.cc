@@ -271,6 +271,11 @@ TEST_F(TpccMigrationTest, MultiStepCustomerSplitPropagatesWrites) {
   p.c_id = 7;
   p.amount = 55.5;
   Status pay = txns_->Payment(p);
+  // Wait-die may kill the Payment when it meets the copier's row locks;
+  // re-submit it, as every TPC-C terminal does.
+  for (int retry = 0; pay.IsTxnConflict() && retry < 100; ++retry) {
+    pay = txns_->Payment(p);
+  }
   ASSERT_TRUE(pay.ok()) << pay.ToString();
   // Read the authoritative old-schema balance after the write.
   double expected = 0;
