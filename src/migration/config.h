@@ -55,9 +55,9 @@ struct LazyConfig {
   /// Background migration (§2.2).
   int background_threads = 2;
   int64_t background_start_delay_ms = 2000;
-  /// Units (granules/groups) per background chunk. A chunk commits in
-  /// migration transactions of at most StatementMigrator::
-  /// kRowsPerMigrationTxn source rows each (one unit may exceed it).
+  /// Units (granules/groups) per background chunk. A chunk commits once,
+  /// or every StatementMigrator::kRowsPerMigrationTxn source rows while a
+  /// request is waiting on the statement.
   uint64_t background_batch = 64;
   /// Sleep between background batches (pacing, so background work does not
   /// starve foreground transactions).

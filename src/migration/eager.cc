@@ -9,8 +9,9 @@ namespace bullfrog {
 Status RunEagerMigration(Catalog* catalog, TransactionManager* txns,
                          const MigrationPlan& plan, uint64_t batch_rows) {
   // Reuse the statement migrators in sweep mode: with the tables gated
-  // there is no contention, so the tracker is pure bookkeeping and the
-  // sweep visits every unit exactly once.
+  // there is no contention, so the tracker is pure bookkeeping, the sweep
+  // visits every unit exactly once and, with no request waiting, each
+  // chunk commits as one transaction.
   LazyConfig config;
   config.granularity = 64;  // Bulk-friendly granule size.
   config.background_batch = batch_rows;

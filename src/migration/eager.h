@@ -18,7 +18,8 @@ namespace bullfrog {
 /// this executes, which is what queues concurrent client requests (the
 /// downtime the paper measures).
 ///
-/// `batch_rows` bounds the size of each internal transaction.
+/// Each internal transaction migrates one sweep chunk: up to `batch_rows`
+/// units (granules or groups) of one statement.
 Status RunEagerMigration(Catalog* catalog, TransactionManager* txns,
                          const MigrationPlan& plan, uint64_t batch_rows = 4096);
 

@@ -31,7 +31,7 @@ void HashTracker::MarkMigrated(const Tuple& key) {
   migrated_count_.fetch_add(1, std::memory_order_acq_rel);
 }
 
-void HashTracker::MarkAborted(const Tuple& key) {
+void HashTracker::ResetAborted(const Tuple& key) {
   Partition& p = PartitionFor(key);
   std::lock_guard lock(p.mu);
   auto it = p.map.find(key);

@@ -53,7 +53,7 @@ class HashTracker final : public MigrationTracker {
   void MarkMigrated(const Tuple& key);
 
   /// §3.5 abort handling: in-progress -> aborted.
-  void MarkAborted(const Tuple& key);
+  void ResetAborted(const Tuple& key);
 
   /// Marks migrated regardless of current state (ON CONFLICT mode and
   /// recovery).

@@ -23,13 +23,7 @@ class TupleSet {
   std::unordered_set<Tuple, TupleHasher> set_;
 };
 
-// The per-tracker calls of MigrateUnits that differ by name or key type.
-void ResetClaim(BitmapTracker* tracker, uint64_t g) {
-  tracker->ResetAborted(g);
-}
-void ResetClaim(HashTracker* tracker, const Tuple& key) {
-  tracker->MarkAborted(key);
-}
+// The redo-log key of a unit's migration mark.
 Tuple MarkKey(uint64_t g) { return Tuple{Value::Int(static_cast<int64_t>(g))}; }
 const Tuple& MarkKey(const Tuple& key) { return key; }
 
@@ -119,6 +113,7 @@ Status StatementMigrator::MigrateUnits(Tracker* tracker,
   std::unique_ptr<Transaction> txn;
   std::shared_ptr<std::vector<Unit>> claimed;  // The open txn's units.
   uint64_t rows = 0;  // Source rows the open txn has read.
+  uint64_t waits_at_begin = 0;  // skip_wait_loops when the open txn began.
   // Ends the open migration transaction. Its hooks flip the claimed units
   // to migrated on commit (Algorithm 1 line 9) or reset them on abort
   // (§3.5); a retryable failure retries them with the SKIP list.
@@ -132,6 +127,7 @@ Status StatementMigrator::MigrateUnits(Tracker* tracker,
     if (s.ok()) {
       CountUnits(claimed->size(), wait_for_skipped, forced);
       stats_.rows_migrated.fetch_add(rows, std::memory_order_relaxed);
+      attempts = 0;  // The retry limit is per migration transaction.
     } else {
       stats_.txn_aborts.fetch_add(1, std::memory_order_relaxed);
       if (!s.IsRetryable() || attempts >= config_.retry_limit) return s;
@@ -166,6 +162,8 @@ Status StatementMigrator::MigrateUnits(Tracker* tracker,
       }
       if (txn == nullptr) {
         txn = txns_->Begin();
+        waits_at_begin =
+            stats_.skip_wait_loops.load(std::memory_order_relaxed);
         claimed = std::make_shared<std::vector<Unit>>();
         if (tracker != nullptr) {
           txn->OnCommit([tracker, claimed, forced] {
@@ -180,7 +178,7 @@ Status StatementMigrator::MigrateUnits(Tracker* tracker,
         }
         if (claims) {
           txn->OnAbort([tracker, claimed] {
-            for (const Unit& c : *claimed) ResetClaim(tracker, c);
+            for (const Unit& c : *claimed) tracker->ResetAborted(c);
           });
         }
       }
@@ -191,7 +189,16 @@ Status StatementMigrator::MigrateUnits(Tracker* tracker,
           txns_->LogMigrationMark(txn.get(), tracker->id(), MarkKey(u));
         }
         rows += *read;
-        if (rows < kRowsPerMigrationTxn) continue;
+        // A request commits every kRowsPerMigrationTxn rows. The background
+        // sweep does so only once a request has SKIP-waited on this
+        // statement since the transaction began; with nobody waiting (and
+        // always in the gated eager sweep) it commits once per chunk.
+        if (rows < kRowsPerMigrationTxn ||
+            (!wait_for_skipped &&
+             stats_.skip_wait_loops.load(std::memory_order_relaxed) ==
+                 waits_at_begin)) {
+          continue;
+        }
       }
       BF_RETURN_NOT_OK(finish(read.status()));
     }

@@ -41,7 +41,9 @@ class StatementMigrator {
   /// how long another request can be SKIP-blocked on it (Algorithm 1 line
   /// 10). A unit that reads at least as many (one TPC-C join class, ~50
   /// order lines) ends its transaction, so such units commit one by one;
-  /// row-sized bitmap granules still share a commit.
+  /// row-sized bitmap granules still share a commit. The background sweep
+  /// applies the budget only while requests wait on the statement, since
+  /// each commit costs it a log flush that nobody gains from otherwise.
   static constexpr uint64_t kRowsPerMigrationTxn = 32;
 
   const MigrationStatement& statement() const { return stmt_; }
@@ -106,10 +108,11 @@ class StatementMigrator {
   /// or a hashmap group key). Claims each unit only when it is about to
   /// migrate it, calls `migrate_one(txn, tables, unit)` (which returns
   /// the source rows it read) and commits once kRowsPerMigrationTxn rows
-  /// were read. The commit hook marks the transaction's units migrated;
-  /// the abort hook resets them. SKIP'd units are re-checked only after
-  /// the open transaction has ended, so a waiting request holds no claim.
-  /// `wait_for_skipped` false = background mode (never block on other
+  /// were read (background mode: and a request has SKIP-waited on this
+  /// statement since the transaction began). The commit hook marks the
+  /// transaction's units migrated; the abort hook resets them. SKIP'd
+  /// units are re-checked only after the open transaction has ended, so a
+  /// waiting request holds no claim. `wait_for_skipped` false = background mode (never block on other
   /// workers). Also runs the §3.7 ON CONFLICT mode (no claims, forced
   /// marks) and the Fig 9 no-tracker ablation.
   template <typename Tracker, typename Unit, typename MigrateOne>

@@ -1,12 +1,15 @@
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <mutex>
 #include <set>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
+#include "common/clock.h"
 #include "migration/statement_migrator.h"
 #include "query/scan.h"
 #include "txn/txn_manager.h"
@@ -335,6 +338,97 @@ TEST(JoinBoundedClaimTest, ClassCommitsBeforeTheNextIsClaimed) {
   EXPECT_TRUE(a.ok()) << a.ToString();
   EXPECT_EQ(catalog.FindTable("joined")->NumLiveRows(),
             static_cast<uint64_t>(2 * per_class));
+}
+
+// The background sweep keeps a chunk in one transaction while nobody
+// waits on the statement. Once a request SKIP-waits, it commits at the end
+// of the unit it is migrating, so the waiter is not held for the chunk.
+TEST(JoinBoundedClaimTest, BackgroundChunkCommitsEarlyOnlyForAWaiter) {
+  Catalog catalog;
+  TransactionManager txns;
+  const int per_class =
+      static_cast<int>(StatementMigrator::kRowsPerMigrationTxn);
+  LoadJoinTables(&catalog, /*keys=*/3, per_class, /*right_per_key=*/1);
+  MigrationStatement stmt = JoinStatement(JoinPolicy::kHashJoinKey);
+  auto transform = stmt.join_transform;
+  std::mutex mu;
+  std::vector<int64_t> classes;  // In the order the sweep reaches them.
+  std::promise<void> at_second, at_third, go_second, go_third;
+  std::shared_future<void> second_released = go_second.get_future().share();
+  std::shared_future<void> third_released = go_third.get_future().share();
+  stmt.join_transform = [&](const Tuple& l,
+                            const Tuple& r) -> Result<std::vector<TargetRow>> {
+    size_t reached = 0;  // 2 or 3 on the first row of that class.
+    {
+      std::lock_guard lock(mu);
+      if (std::find(classes.begin(), classes.end(), l[1].AsInt()) ==
+          classes.end()) {
+        classes.push_back(l[1].AsInt());
+        reached = classes.size();
+      }
+    }
+    if (reached == 2) {
+      at_second.set_value();
+      second_released.wait();
+    } else if (reached == 3) {
+      at_third.set_value();
+      third_released.wait();
+    }
+    return transform(l, r);
+  };
+  LazyConfig config;
+  config.skip_timeout_ms = 2000;  // A chunk-long claim times B out.
+  auto m = MakeStatementMigrator(&catalog, &txns, stmt, config);
+  ASSERT_TRUE(m.ok());
+  auto* tracker = static_cast<HashTracker*>((*m)->tracker());
+  const auto wait_ready = [](std::promise<void>& p) {
+    return p.get_future().wait_for(std::chrono::seconds(10)) ==
+           std::future_status::ready;
+  };
+
+  Status chunk = Status::OK();
+  std::thread sweep([&] {
+    bool done = false;
+    chunk = (*m)->MigrateBackgroundChunk(16, &done).status();
+  });
+  const bool reached_second = wait_ready(at_second);
+  bool first_open = false;
+  bool b_waited = false;
+  Tuple first;
+  Status b = Status::OK();
+  std::thread request_b;
+  if (reached_second) {
+    {
+      std::lock_guard lock(mu);
+      first = Tuple{Value::Int(classes[0])};
+    }
+    // Nobody has waited yet: the first class is still in the open chunk.
+    first_open = !tracker->IsMigrated(first);
+    request_b = std::thread([&] {
+      b = (*m)->MigrateForPredicate(Eq(Col("k"), LitInt(first[0].AsInt())));
+    });
+    for (int i = 0;
+         i < 100000 && (*m)->stats().skip_wait_loops.load() == 0; ++i) {
+      Clock::SleepMicros(100);
+    }
+    b_waited = (*m)->stats().skip_wait_loops.load() > 0;
+  }
+  go_second.set_value();
+  const bool reached_third = reached_second && wait_ready(at_third);
+  const bool first_committed = reached_third && tracker->IsMigrated(first);
+  if (request_b.joinable()) request_b.join();
+  go_third.set_value();
+  sweep.join();
+
+  ASSERT_TRUE(reached_second) << "the sweep never reached its second class";
+  EXPECT_TRUE(first_open);
+  EXPECT_TRUE(b_waited);
+  ASSERT_TRUE(reached_third) << "the sweep never reached its third class";
+  EXPECT_TRUE(first_committed);
+  EXPECT_TRUE(b.ok()) << b.ToString();
+  EXPECT_TRUE(chunk.ok()) << chunk.ToString();
+  EXPECT_EQ(catalog.FindTable("joined")->NumLiveRows(),
+            static_cast<uint64_t>(3 * per_class));
 }
 
 TEST(JoinMigratorValidationTest, RequiresTwoInputs) {

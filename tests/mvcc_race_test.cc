@@ -158,9 +158,15 @@ TEST(MvccRaceTest, SnapshotReadersVsVersionGc) {
   ::unsetenv("BF_MVCC_GC_MS");
   SeedAccounts(&db);
   std::atomic<bool> failed{false};
-  std::thread writer_group([&] { RunWriters(&db, 3, 150); });
-  RunReaders(&db, 3, 200, &failed);
-  writer_group.join();
+  // One round can finish before the sweeper's first pass on a loaded host;
+  // run rounds until a pass completed inside one (at most 50).
+  for (int round = 0; round < 50 && !failed.load(); ++round) {
+    const uint64_t passes_before = db.version_gc().passes();
+    std::thread writer_group([&] { RunWriters(&db, 3, 150); });
+    RunReaders(&db, 3, 200, &failed);
+    writer_group.join();
+    if (db.version_gc().passes() > passes_before) break;
+  }
   EXPECT_FALSE(failed.load());
   EXPECT_GE(db.version_gc().passes(), 1u);
 }
